@@ -13,6 +13,18 @@ term uses the goal field it is defined on: effective goals for the critic
 and task term, relabeled goals for self-imitation, original desired goals
 for the prior term.
 
+All three terms share one actor forward and one backward pass. The pass
+runs over N task rows on (s, g_eff) plus one extra row on (s, g_orig) for
+each sample whose effective goal differs from its original goal. The
+self-imitation term reads the task rows of the relabeled samples (there
+g_eff is g_relabel); the prior term reads one row per element, its task
+row when g_eff equals g_orig, and evaluates its Monte-Carlo draws there.
+`hsr_loss` and `hgr_loss` stay the only implementation of their terms:
+`actor_loss` hands each a row view of the shared pass in place of the
+actor, whose `head_cached` gathers the term's rows and whose
+`backward_from_head` adds the term's weighted head gradients into the
+shared rows. The single backward then runs on the summed head gradients.
+
 Every gradient is computed analytically through the fixed MLP/Gaussian
 graph in float64 and is checked against central finite differences by the
 test suite.
@@ -20,7 +32,6 @@ test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +124,12 @@ class AgentNets:
 
 
 def resolve_k(cfg, n_available):
-    """Number of mixture components for one sample's hindsight goal set."""
+    """Number of mixture components for hindsight goal sets of the given
+    sizes (a scalar or an array of sizes)."""
     if cfg.hindsight_goals is not None:
-        return cfg.hindsight_goals
-    return max(1, math.ceil(cfg.hindsight_goal_fraction * n_available))
+        return np.full_like(n_available, cfg.hindsight_goals, dtype=np.int64)
+    k = np.ceil(cfg.hindsight_goal_fraction * np.asarray(n_available))
+    return np.maximum(1, k).astype(np.int64)
 
 
 class MixturePrior:
@@ -169,7 +182,7 @@ def build_hgr_prior(state, goal, trajectory, nets, cfg, rng, goal_set=None, dedu
     del goal  # the prior depends on the state and the hindsight goals only
     if goal_set is None:
         goal_set = hindsight_goal_set(trajectory, dedup_tol)
-    k = resolve_k(cfg, len(goal_set))
+    k = int(resolve_k(cfg, len(goal_set)))
     goals = sample_hindsight_goals(trajectory, k, rng, goal_set=goal_set)
     return MixturePrior(state, goals, nets.prior_actor(cfg))
 
@@ -209,15 +222,15 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
     """Priors for a whole minibatch, conditioning on the original desired goals.
 
     When K equals the full goal-set size (the default fraction of 1), the
-    component set is the whole hindsight goal set and no subset draw is
-    needed; otherwise each element draws its own K-subset.
+    component set is the whole hindsight goal set: the batch's goal table
+    is used as it is. Otherwise each element draws its own K-subset.
     """
+    counts = batch.goal_counts
+    ks = resolve_k(cfg, counts)
+    if np.array_equal(ks, counts):
+        return BatchedHgrPriors(batch.states, batch.goal_table, counts, nets.prior_actor(cfg))
     n = len(batch)
-    goal_dim = batch.original_goals.shape[1]
-    sizes = np.array([len(gs) for gs in batch.goal_sets])
-    ks = np.array([resolve_k(cfg, int(sz)) for sz in sizes])
-    k_max = int(ks.max())
-    padded = np.zeros((n, k_max, goal_dim))
+    padded = np.zeros((n, int(ks.max()), batch.goal_table.shape[2]))
     for i, goal_set in enumerate(batch.goal_sets):
         k = ks[i]
         if k == len(goal_set):
@@ -254,7 +267,11 @@ def critic_loss(batch, nets, cfg):
 
 
 def hsr_loss(batch, actor):
-    """Behavior cloning on relabeled samples: -mean log pi(a | s, g_relabel)."""
+    """Behavior cloning on relabeled samples: -mean log pi(a | s, g_relabel).
+
+    `actor` is a PolicyNet or a row view of a shared actor pass; with a row
+    view the gradients go into the shared pass and None is returned for them.
+    """
     if not np.all(batch.is_relabeled):
         raise ValueError("hsr_loss expects a batch of relabeled samples only")
     head, cache, raw = actor.head_cached(batch.states, batch.goals)
@@ -271,7 +288,8 @@ def hgr_loss(batch, priors, actor, cfg, rng, prior_actions=None):
 
     Draws cfg.prior_mc_samples actions per element from its prior (or uses
     the given frozen actions) and returns -mean log pi(a' | s, g_orig); the
-    actor gradient matches that of the forward KL from the prior.
+    actor gradient matches that of the forward KL from the prior. `actor`
+    may be a row view of a shared actor pass, as in hsr_loss.
     """
     if len(priors) != len(batch):
         raise ValueError("one prior per batch element required")
@@ -288,10 +306,40 @@ def hgr_loss(batch, priors, actor, cfg, rng, prior_actions=None):
     return loss, grads
 
 
-def _accumulate(total, part, weight):
-    for name, g in part.items():
-        total[name] = total[name] + weight * g if name in total else weight * g
-    return total
+class _ActorRows:
+    """Stands in for the actor in one loss term, reading rows of a shared pass.
+
+    `head` and the gradient buffers `d_mean` / `d_log_std` belong to one
+    actor forward pass. The term's inputs are that pass's `rows` (distinct
+    indices), each repeated `repeats` times in np.repeat order; the term
+    computes them as it would for the actor, and only their count is
+    checked here. `backward_from_head` sums the term's head gradients over
+    the repeats, scales them by `weight` and adds them into the buffers; it
+    returns no parameter gradients, since the shared backward produces them.
+    """
+
+    def __init__(self, head, d_mean, d_log_std, rows, weight, repeats=1):
+        self.head = head
+        self.d_mean = d_mean
+        self.d_log_std = d_log_std
+        self.rows = rows
+        self.weight = weight
+        self.repeats = repeats
+
+    def head_cached(self, states, goals):
+        n = len(self.rows) * self.repeats
+        if len(states) != n or len(goals) != n:
+            raise ValueError(f"row view holds {n} rows, got {len(states)} inputs")
+        idx = np.repeat(self.rows, self.repeats)
+        return DiagGaussianHead(self.head.mean[idx], self.head.log_std[idx],
+                                squash=self.head.squash), None, None
+
+    def backward_from_head(self, cache, raw_log_std, d_mean, d_log_std):
+        del cache, raw_log_std  # the shared backward applies the log-std clamp mask
+        shape = (len(self.rows), self.repeats, -1)
+        self.d_mean[self.rows] += self.weight * d_mean.reshape(shape).sum(axis=1)
+        self.d_log_std[self.rows] += self.weight * d_log_std.reshape(shape).sum(axis=1)
+        return None, None
 
 
 def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
@@ -301,14 +349,28 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
     reparameterized from the actor and the critic held fixed. Passing
     `noise` and `prior_actions` freezes the Monte-Carlo draws (used by the
     finite-difference tests). An optional entropy bonus weighs in with
-    entropy_coeff.
+    entropy_coeff. One actor forward and one backward serve every term.
     """
-    head, cache, raw = nets.actor.head_cached(batch.states, batch.goals)
+    if cfg.beta > 0.0 and priors is None:
+        raise ValueError("beta > 0 requires hindsight priors")
+    n = len(batch)
+    # the prior term needs (s, g_orig) rows: extra rows after the N task rows
+    # where the effective goal differs, the task row itself where it does not
+    if cfg.beta > 0.0:
+        extra = np.flatnonzero(np.any(batch.goals != batch.original_goals, axis=1))
+    else:
+        extra = np.empty(0, dtype=np.int64)
+    shared, cache, raw = nets.actor.head_cached(
+        np.concatenate([batch.states, batch.states[extra]]),
+        np.concatenate([batch.goals, batch.original_goals[extra]]),
+    )
+    shared_d_mean = np.zeros_like(shared.mean)
+    shared_d_log_std = np.zeros_like(shared.log_std)
+    head = DiagGaussianHead(shared.mean[:n], shared.log_std[:n], squash=shared.squash)
     if noise is None:
         noise = rng.standard_normal(head.mean.shape)
     action = reparam_action(head, noise)
     q, q_cache = nets.critic.q_cached(batch.states, action, batch.goals)
-    n = len(q)
     q_term = -float(np.mean(q))
     _, d_action = nets.critic.backward(q_cache, np.full(n, -1.0 / n))
     jac_mean, jac_log_std = reparam_grads(head, noise, action)
@@ -328,25 +390,28 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
         else:
             d_log_std = d_log_std - c
 
-    grads, _ = nets.actor.backward_from_head(cache, raw, d_mean, d_log_std)
+    shared_d_mean[:n] = d_mean
+    shared_d_log_std[:n] = d_log_std
     loss = q_term + cfg.entropy_coeff * entropy_term
     parts = {"q_term": q_term, "hsr": 0.0, "hgr": 0.0, "entropy": entropy_term}
 
     if cfg.alpha > 0.0:
-        relabeled = batch.relabeled_subset()
+        relabeled = np.flatnonzero(batch.is_relabeled)
         if len(relabeled):
-            value, hsr_grads = hsr_loss(relabeled, nets.actor)
+            view = _ActorRows(shared, shared_d_mean, shared_d_log_std, relabeled, cfg.alpha)
+            value, _ = hsr_loss(batch.relabeled_subset(), view)
             parts["hsr"] = value
             loss += cfg.alpha * value
-            _accumulate(grads, hsr_grads, cfg.alpha)
     if cfg.beta > 0.0:
-        if priors is None:
-            raise ValueError("beta > 0 requires hindsight priors")
-        value, hgr_grads = hgr_loss(batch, priors, nets.actor, cfg, rng,
-                                    prior_actions=prior_actions)
+        prior_rows = np.arange(n)
+        prior_rows[extra] = n + np.arange(len(extra))
+        m = cfg.prior_mc_samples if prior_actions is None else prior_actions.shape[1]
+        view = _ActorRows(shared, shared_d_mean, shared_d_log_std, prior_rows, cfg.beta,
+                          repeats=m)
+        value, _ = hgr_loss(batch, priors, view, cfg, rng, prior_actions=prior_actions)
         parts["hgr"] = value
         loss += cfg.beta * value
-        _accumulate(grads, hgr_grads, cfg.beta)
+    grads, _ = nets.actor.backward_from_head(cache, raw, shared_d_mean, shared_d_log_std)
     return loss, grads, parts
 
 

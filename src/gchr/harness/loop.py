@@ -10,6 +10,11 @@ for that reason.
 Exploration follows the sparse-goal-reaching convention: with a fixed
 probability the action is uniform in the box, otherwise it is a policy
 sample plus Gaussian noise, clipped.
+
+The networks are too small to gain from multithreaded BLAS, which only
+adds overhead. Nothing here limits BLAS threads: set
+OPENBLAS_NUM_THREADS=1 (and OMP_NUM_THREADS / MKL_NUM_THREADS for other
+BLAS builds) before numpy is imported, as perfbench/run.py does.
 """
 
 from __future__ import annotations
@@ -25,25 +30,10 @@ from ..envs.base import is_success
 from ..replay import HerBuffer, Trajectory, dump_trajectories_csv
 
 _METRIC_FIELDS = ("critic_loss", "actor_loss", "q_term", "hsr_loss", "hgr_loss")
-_blas_limited = False
 
 
 class RunFailure(RuntimeError):
     """A training run aborted (non-finite loss)."""
-
-
-def _limit_blas_threads():
-    # the networks are tiny; multithreaded BLAS only adds overhead here
-    global _blas_limited
-    if _blas_limited:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except ImportError:
-        pass
-    _blas_limited = True
 
 
 def exploration_action(agent, state, goal, rng, random_action_prob, noise_scale):
@@ -88,7 +78,6 @@ def run_eval(actor, env, n, seed_or_rng):
     """
     if n < 1:
         raise ValueError("evaluation needs at least one rollout")
-    _limit_blas_threads()
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
@@ -129,7 +118,6 @@ def train_seed(cfg, seed, seed_dir):
     Returns the per-epoch metric rows. Raises RunFailure on a non-finite
     loss, leaving the last epoch's checkpoint in place.
     """
-    _limit_blas_threads()
     seed_dir = Path(seed_dir)
     seed_dir.mkdir(parents=True, exist_ok=True)
     env = cfg.build_env()

@@ -31,6 +31,17 @@ def straight_line_forward(weights, biases, x, activation="relu"):
     return np.array(h)
 
 
+def scalar_first_visit_rows(goals, dedup_tol=0.0):
+    """Greedy first-visit dedup, goal by goal: a goal is kept when it lies
+    farther than dedup_tol from every goal kept before it. Returns the kept
+    row indices in visit order."""
+    kept = []
+    for i, g in enumerate(goals):
+        if all(np.linalg.norm(g - goals[k]) > dedup_tol for k in kept):
+            kept.append(i)
+    return np.array(kept, dtype=np.int64)
+
+
 def finite_difference_grads(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn over a dict of parameter arrays."""
     grads = {}

@@ -4,6 +4,7 @@ import pytest
 from gchr.agent import (
     AgentNets,
     BatchedHgrPriors,
+    GchrAgent,
     GchrConfig,
     MixturePrior,
     actor_loss,
@@ -14,8 +15,8 @@ from gchr.agent import (
     hsr_loss,
     update_targets,
 )
-from gchr.nn import PolicyNet, gaussian_log_prob
-from gchr.replay import ReplayBatch, Trajectory
+from gchr.nn import Mlp, PolicyNet, gaussian_log_prob
+from gchr.replay import HerBuffer, HerConfig, ReplayBatch, Trajectory
 
 from oracles import finite_difference_grads, max_relative_grad_error
 
@@ -475,6 +476,54 @@ def test_actor_loss_decomposes_exactly(rng):
     hgr_val, _ = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
     assert loss_full == loss_bare + 0.7 * hsr_val + 0.4 * hgr_val
     assert parts["hsr"] == hsr_val and parts["hgr"] == hgr_val
+
+
+@pytest.mark.parametrize("unrelabeled_goal_moved", [False, True])
+def test_fused_actor_pass_matches_separate_terms(rng, monkeypatch, unrelabeled_goal_moved):
+    # the fused pass sums head gradients before one backward; the separate
+    # terms each run their own pass, so only the summation order differs
+    cfg = small_cfg(alpha=0.7, beta=0.4, prior_mc_samples=3)
+    nets = make_nets(cfg)
+    batch = make_batch(rng, n=12, relabeled="mixed")
+    batch.is_relabeled[:2] = [True, False]
+    batch.goals[0] += 0.5
+    if unrelabeled_goal_moved:
+        # an unrelabeled sample whose goal still differs from its original
+        # goal must get its own prior row
+        batch.goals[1] += 0.5
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    noise = rng.standard_normal((len(batch), ACTION_DIM))
+    frozen = priors.sample_actions(cfg.prior_mc_samples, rng)
+
+    _, fused, _ = actor_loss(batch, priors, nets, cfg, rng, noise=noise, prior_actions=frozen)
+    _, task, _ = actor_loss(batch, None, nets, small_cfg(alpha=0.0, beta=0.0), rng, noise=noise)
+    _, hsr = hsr_loss(batch.relabeled_subset(), nets.actor)
+    _, hgr = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
+    for name in fused:
+        np.testing.assert_allclose(fused[name], task[name] + 0.7 * hsr[name] + 0.4 * hgr[name],
+                                   rtol=1e-10)
+
+    # one update runs the actor network forward and backward exactly once
+    agent = GchrAgent(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=1)
+    buf = HerBuffer(STATE_DIM, ACTION_DIM, GOAL_DIM, success_tolerance=0.05)
+    for _ in range(3):
+        states = np.cumsum(rng.normal(scale=0.2, size=(9, STATE_DIM)), axis=0)
+        buf.store_trajectory(Trajectory(states, rng.uniform(-1, 1, (8, ACTION_DIM)),
+                                        states[:, :GOAL_DIM].copy(), rng.normal(size=GOAL_DIM)))
+    calls = {"forward": 0, "backward": 0}
+    actor_mlp = agent.nets.actor.mlp
+
+    def counting(kind, method):
+        def wrapper(self, *args):
+            calls[kind] += self is actor_mlp
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Mlp, "forward_cached", counting("forward", Mlp.forward_cached))
+    monkeypatch.setattr(Mlp, "backward", counting("backward", Mlp.backward))
+    metrics = agent.update(buf, HerConfig(relabel_ratio=0.5), rng)
+    assert metrics["hsr_loss"] != 0.0 and metrics["hgr_loss"] != 0.0
+    assert calls == {"forward": 1, "backward": 1}
 
 
 def test_actor_loss_alpha_beta_zero_is_pure_q_maximization(rng):

@@ -6,9 +6,12 @@ from gchr.replay import (
     HerConfig,
     Trajectory,
     dump_trajectories_csv,
+    first_visit_rows,
     hindsight_goal_set,
     sample_hindsight_goals,
 )
+
+from oracles import scalar_first_visit_rows
 
 
 def make_trajectory(rng, horizon=10, state_dim=4, action_dim=2, goal_dim=2, walk_scale=0.1):
@@ -171,6 +174,81 @@ def test_goal_set_independent_of_actions(rng):
     np.testing.assert_array_equal(
         hindsight_goal_set(traj, 0.005), hindsight_goal_set(other, 0.005)
     )
+
+
+def near_tolerance_goals(rng, n, dim, tol):
+    """Goals in a few tight clusters, a third of them displaced from an
+    earlier goal by exactly tol along a random direction, so their
+    distances round to either side of tol."""
+    centres = rng.uniform(-1, 1, size=(int(rng.integers(1, 6)), dim))
+    goals = centres[rng.integers(0, len(centres), n)] + rng.normal(scale=tol, size=(n, dim))
+    for i in rng.permutation(np.arange(1, n))[: n // 3]:
+        direction = rng.normal(size=dim)
+        goals[i] = goals[rng.integers(0, i)] + tol * direction / np.linalg.norm(direction)
+    return goals
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_first_visit_rows_match_scalar_scan(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+    tol = float(rng.choice([0.005, 0.05, 0.3]))
+    goals = near_tolerance_goals(rng, n, dim, tol)
+    np.testing.assert_array_equal(first_visit_rows(goals, tol),
+                                  scalar_first_visit_rows(goals, tol))
+
+
+def test_near_tolerance_goals_straddle_the_tolerance():
+    # the property test above only probes rounding at tol if its pairs do
+    rng = np.random.default_rng(0)
+    tol = 0.05
+    below = above = 0
+    for _ in range(20):
+        goals = near_tolerance_goals(rng, 40, 2, tol)
+        dist = np.array([[np.linalg.norm(a - b) for b in goals] for a in goals])
+        close = np.abs(dist - tol) <= 4 * np.spacing(tol)
+        below += int(np.sum(close & (dist <= tol)))
+        above += int(np.sum(close & (dist > tol)))
+    assert below > 0 and above > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+def test_first_visit_rows_stationary_trajectory(tol):
+    goals = np.tile([0.3, -0.2], (9, 1))
+    np.testing.assert_array_equal(first_visit_rows(goals, tol), [0])
+    np.testing.assert_array_equal(scalar_first_visit_rows(goals, tol), [0])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_first_visit_rows_zero_tolerance_keeps_first_of_exact_repeats(seed):
+    rng = np.random.default_rng(seed)
+    goals = rng.integers(0, 4, size=(int(rng.integers(1, 40)), 2)) * 0.25
+    rows = first_visit_rows(goals, 0.0)
+    np.testing.assert_array_equal(rows, scalar_first_visit_rows(goals, 0.0))
+    _, first = np.unique(goals, axis=0, return_index=True)
+    np.testing.assert_array_equal(rows, np.sort(first))
+
+
+def test_goal_table_survives_eviction_and_compaction(rng, monkeypatch):
+    compactions = []
+    compact = HerBuffer._compact
+    monkeypatch.setattr(HerBuffer, "_compact",
+                        lambda self: compactions.append(1) or compact(self))
+    buf = make_buffer(capacity=60, tol=0.5)  # dedup tolerance 0.05
+    her = HerConfig(relabel_ratio=0.5)
+    for i in range(300):
+        # horizons and walk scales vary so goal sets range from one goal to
+        # the whole trajectory and the padded table has to widen
+        walk = [0.0, 0.01, 0.05, 1.0][i % 4]
+        buf.store_trajectory(make_trajectory(rng, horizon=int(rng.integers(3, 16)),
+                                             walk_scale=walk))
+        if i % 25 == 24:
+            batch = buf.sample_batch(64, her, rng)
+            for k, (sample, goal_set) in enumerate(zip(batch, batch.goal_sets)):
+                expected = hindsight_goal_set(sample.trajectory, buf.goal_dedup_tol)
+                np.testing.assert_array_equal(goal_set, expected)
+                assert batch.goal_counts[k] == len(expected)
+    assert buf.n_transitions <= 60 and compactions
 
 
 def test_sample_hindsight_goals_full_fraction_returns_whole_set(rng):
