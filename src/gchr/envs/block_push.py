@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import GoalEnv, GoalEnvSpec
+from .base import GoalEnv, GoalEnvSpec, row_norm
 
 DT = 0.1
 AGENT_RADIUS = 0.08
@@ -25,20 +25,28 @@ GOAL_RANGE = 0.7
 def resolve_contact(agent_pos, block_pos, fallback_dir):
     """Push the block out of overlap along the agent->block normal.
 
-    If the two centers coincide the push direction falls back to
-    `fallback_dir` (the agent's motion direction). Returns the new block
-    position, unchanged when there is no overlap.
+    Positions have shape (..., 2). Where the two centers coincide the push
+    direction falls back to `fallback_dir` (the agent's motion direction),
+    or to +x when that is zero too. Returns the new block positions; rows
+    without overlap keep theirs, and when no row overlaps nothing more is
+    computed.
     """
     offset = block_pos - agent_pos
-    dist = float(np.linalg.norm(offset))
-    if dist >= CONTACT_DIST:
+    dist = row_norm(offset)
+    # count_nonzero is the cheapest test that takes a bool as well as an array
+    if not np.count_nonzero(dist < CONTACT_DIST):
         return block_pos
-    if dist > 1e-12:
-        normal = offset / dist
-    else:
-        norm = float(np.linalg.norm(fallback_dir))
-        normal = fallback_dir / norm if norm > 1e-12 else np.array([1.0, 0.0])
-    return agent_pos + CONTACT_DIST * normal
+    dist = np.asarray(dist)  # 0-d for a single state
+    contact = dist < CONTACT_DIST
+    coincident = dist <= 1e-12
+    if np.count_nonzero(coincident):
+        fallback_norm = np.asarray(row_norm(fallback_dir))
+        moved = fallback_norm > 1e-12
+        direction = np.where(moved[..., None], fallback_dir, [1.0, 0.0])
+        offset = np.where(coincident[..., None], direction, offset)
+        dist = np.where(coincident, np.where(moved, fallback_norm, 1.0), dist)
+    pushed = agent_pos + CONTACT_DIST * (offset / dist[..., None])
+    return np.where(contact[..., None], pushed, block_pos)
 
 
 class BlockPush2D(GoalEnv):
@@ -49,7 +57,7 @@ class BlockPush2D(GoalEnv):
         self._with_spec_overrides(**spec_overrides)
 
     def phi(self, state):
-        return np.asarray(state, dtype=np.float64)[2:4].copy()
+        return np.asarray(state, dtype=np.float64)[..., 2:4].copy()
 
     def _sample_start(self, rng):
         agent = AGENT_START + rng.uniform(-START_JITTER, START_JITTER, size=2)
@@ -60,8 +68,8 @@ class BlockPush2D(GoalEnv):
         return rng.uniform(-GOAL_RANGE, GOAL_RANGE, size=2)
 
     def _dynamics(self, state, action):
-        agent, block = state[:2], state[2:4]
+        agent, block = state[..., :2], state[..., 2:4]
         new_agent = np.clip(agent + action * DT, -WORKSPACE, WORKSPACE)
         new_block = resolve_contact(new_agent, block, new_agent - agent)
         new_block = np.clip(new_block, -WORKSPACE, WORKSPACE)
-        return np.concatenate([new_agent, new_block])
+        return np.concatenate([new_agent, new_block], axis=-1)

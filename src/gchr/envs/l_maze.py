@@ -23,11 +23,14 @@ GOAL_BOX = (0.68, 0.95, 0.68, 0.95)
 
 def _in_box(p, box):
     x0, x1, y0, y1 = box
-    return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+    x, y = p[..., 0], p[..., 1]
+    return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
 
 
 def in_free_space(p):
-    return _in_box(p, BOTTOM_STRIP) or _in_box(p, RIGHT_STRIP)
+    """Per point of shape (..., 2): inside the bottom or the right strip."""
+    p = np.asarray(p)
+    return _in_box(p, BOTTOM_STRIP) | _in_box(p, RIGHT_STRIP)
 
 
 class LMaze2D(GoalEnv):
@@ -38,7 +41,7 @@ class LMaze2D(GoalEnv):
         self._with_spec_overrides(**spec_overrides)
 
     def phi(self, state):
-        return np.asarray(state, dtype=np.float64)[:2].copy()
+        return np.asarray(state, dtype=np.float64)[..., :2].copy()
 
     def _sample_start(self, rng):
         x0, x1, y0, y1 = START_BOX
@@ -50,25 +53,19 @@ class LMaze2D(GoalEnv):
         return np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
 
     def _dynamics(self, state, action):
-        pos, vel = state[:2].copy(), state[2:]
+        pos, vel = state[..., :2], state[..., 2:]
         vel = np.clip(vel + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
         target = pos + vel * DT
-        if in_free_space(target):
-            pos = target
-        else:
-            # slide along walls: keep whichever axis motion stays free
-            moved_x = np.array([target[0], pos[1]])
-            moved_y = np.array([pos[0], target[1]])
-            vel = vel.copy()
-            if in_free_space(moved_x):
-                pos = moved_x
-                vel[1] = 0.0
-            elif in_free_space(moved_y):
-                pos = moved_y
-                vel[0] = 0.0
-            else:
-                vel[:] = 0.0
-        return np.concatenate([pos, vel])
+        # slide along walls: when the full move leaves the free space, keep
+        # the x move if it alone stays free, else the y move; a blocked
+        # axis keeps its position and loses its velocity
+        free = in_free_space(target)
+        free_x = in_free_space(np.stack([target[..., 0], pos[..., 1]], axis=-1))
+        free_y = in_free_space(np.stack([pos[..., 0], target[..., 1]], axis=-1))
+        moves = np.stack([free | free_x, free | (~free_x & free_y)], axis=-1)
+        return np.concatenate(
+            [np.where(moves, target, pos), np.where(moves, vel, 0.0)], axis=-1
+        )
 
 
 def goal_region_contains(goal):

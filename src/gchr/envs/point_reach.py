@@ -23,7 +23,7 @@ class PointReach2D(GoalEnv):
         self._with_spec_overrides(**spec_overrides)
 
     def phi(self, state):
-        return np.asarray(state, dtype=np.float64)[:2].copy()
+        return np.asarray(state, dtype=np.float64)[..., :2].copy()
 
     def _sample_start(self, rng):
         pos = rng.uniform(-START_JITTER, START_JITTER, size=2)
@@ -33,9 +33,9 @@ class PointReach2D(GoalEnv):
         return rng.uniform(-GOAL_RANGE, GOAL_RANGE, size=2)
 
     def _dynamics(self, state, action):
-        pos, vel = state[:2], state[2:]
+        pos, vel = state[..., :2], state[..., 2:]
         vel = np.clip(vel + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
-        return np.concatenate([pos + vel * DT, vel])
+        return np.concatenate([pos + vel * DT, vel], axis=-1)
 
 
 def scripted_reach_action(state, goal, kp=6.0, kd=3.5):

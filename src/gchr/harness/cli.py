@@ -16,7 +16,7 @@ from pathlib import Path
 from ..agent import load_actor_from_checkpoint
 from ..envs import load_tabular_mdp, make_env
 from ..tabular_lab import format_report, verify_tabular, write_report_csv
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, default_config, load_config, parse_env_overrides
 from .goals import dump_terminal_goals
 from .loop import RunFailure, final_success_per_seed, run_eval, run_training
 from .sweep import SWEEP_AXES, run_sweep
@@ -47,7 +47,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    env = make_env(args.env, **_env_overrides(args))
+    overrides = parse_env_overrides(args.set)
+    try:
+        env = make_env(args.env, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     spec = env.spec
     actor = load_actor_from_checkpoint(
         args.checkpoint, spec.state_dim, spec.goal_dim, spec.action_dim,
@@ -57,21 +61,6 @@ def cmd_eval(args):
     print(f"[gchr] success_rate {success:.4f} mean_return {mean_return:.4f} "
           f"({args.episodes} rollouts, seed {args.seed})")
     return 0
-
-
-def _env_overrides(args):
-    overrides = {}
-    for item in args.set or []:
-        if not item.startswith("env."):
-            raise ConfigError("eval only accepts env.* overrides")
-        key, value = item[len("env."):].split("=", 1)
-        if key == "horizon":
-            overrides[key] = int(value)
-        elif key == "reward_convention":
-            overrides[key] = value
-        else:
-            overrides[key] = float(value)
-    return overrides
 
 
 def cmd_sweep(args):

@@ -147,7 +147,7 @@ def _typed(section, key, raw):
     if parser is None:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     try:
-        return parser(raw) if parser is not _parse_bool else _parse_bool(raw)
+        return parser(raw)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -173,6 +173,32 @@ def _assemble(values):
         raise ConfigError(str(exc)) from exc
 
 
+def parse_overrides(overrides, values=None):
+    """Apply --set style `section.key=value` items, each through the typed
+    parser, onto a {section: {key: value}} dict (a new one by default)."""
+    values = {} if values is None else values
+    for item in overrides:
+        target, eq, raw = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not eq or not dot:
+            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+        section, key = section.strip(), key.strip()
+        values.setdefault(section, {})[key] = _typed(section, key, raw.strip())
+    return values
+
+
+def parse_env_overrides(overrides):
+    """GoalEnvSpec overrides from `env.key=value` items, as `gchr eval` takes
+    them; the environment name comes from --env, never from an override."""
+    values = parse_overrides(overrides)
+    if set(values) - {"env"}:
+        raise ConfigError("eval only accepts env.* overrides")
+    env = values.get("env", {})
+    if "name" in env:
+        raise ConfigError("env.name cannot be overridden; --env names the environment")
+    return env
+
+
 def load_config(path, overrides=()):
     """Parse an INI experiment file, then apply --set style overrides."""
     parser = configparser.ConfigParser()
@@ -183,28 +209,11 @@ def load_config(path, overrides=()):
     for section in parser.sections():
         for key, raw in parser.items(section):
             values.setdefault(section, {})[key] = _typed(section, key, raw)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        target, raw = item.split("=", 1)
-        section, key = target.split(".", 1)
-        values.setdefault(section.strip(), {})[key.strip()] = _typed(
-            section.strip(), key.strip(), raw.strip()
-        )
-    return _assemble(values)
+    return _assemble(parse_overrides(overrides, values))
 
 
 def default_config(overrides=()):
-    values = {}
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        target, raw = item.split("=", 1)
-        section, key = target.split(".", 1)
-        values.setdefault(section.strip(), {})[key.strip()] = _typed(
-            section.strip(), key.strip(), raw.strip()
-        )
-    return _assemble(values)
+    return _assemble(parse_overrides(overrides))
 
 
 def write_config(cfg, path):

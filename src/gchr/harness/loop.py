@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..agent import GchrAgent
-from ..envs.base import is_success
+from ..envs.base import GoalEnvState, is_success
 from ..replay import HerBuffer, Trajectory, dump_trajectories_csv
 
 _METRIC_FIELDS = ("critic_loss", "actor_loss", "q_term", "hsr_loss", "hgr_loss")
@@ -72,9 +72,11 @@ def run_eval(actor, env, n, seed_or_rng):
     """Mean-action evaluation over n fresh-goal episodes.
 
     Returns (success_rate, mean_return); success is the final state lying
-    within tolerance. `actor` either exposes mean_action(states, goals)
-    (evaluated in lockstep across episodes) or is a plain
-    callable(state, goal) -> action.
+    within tolerance. The n episodes are reset one by one, then stepped in
+    lockstep: one env.step per timestep on the stacked states. `actor`
+    either exposes mean_action(states, goals), called once per timestep on
+    the whole stack, or is a plain callable(state, goal) -> action, called
+    per episode.
     """
     if n < 1:
         raise ValueError("evaluation needs at least one rollout")
@@ -83,21 +85,22 @@ def run_eval(actor, env, n, seed_or_rng):
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    episodes = [env.reset(rng) for _ in range(n)]
+    starts = [env.reset(rng) for _ in range(n)]
+    es = GoalEnvState(
+        state=np.array([s.state for s in starts]),
+        achieved_goal=np.array([s.achieved_goal for s in starts]),
+        desired_goal=np.array([s.desired_goal for s in starts]),
+    )
     returns = np.zeros(n)
     vectorized = hasattr(actor, "mean_action")
     for _ in range(env.spec.horizon):
         if vectorized:
-            states = np.array([es.state for es in episodes])
-            goals = np.array([es.desired_goal for es in episodes])
-            actions = actor.mean_action(states, goals)
+            actions = actor.mean_action(es.state, es.desired_goal)
         else:
-            actions = [actor(es.state, es.desired_goal) for es in episodes]
-        for i, es in enumerate(episodes):
-            episodes[i], reward, _ = env.step(es, actions[i], rng)
-            returns[i] += reward
-    tol = env.spec.success_tolerance
-    successes = [is_success(es.achieved_goal, es.desired_goal, tol) for es in episodes]
+            actions = np.array([actor(s, g) for s, g in zip(es.state, es.desired_goal)])
+        es, rewards, _ = env.step(es, actions, rng)
+        returns += rewards
+    successes = is_success(es.achieved_goal, es.desired_goal, env.spec.success_tolerance)
     return float(np.mean(successes)), float(returns.mean())
 
 

@@ -2,6 +2,13 @@
 
 All arithmetic is float64. Forward and backward accept a single input
 vector or a batch with a leading axis; outputs match the input rank.
+
+Hidden activations and their gradients live in per-network work arrays that
+every pass reuses: an update's passes over hundreds of rows then allocate
+only their small outputs, instead of fresh hidden-width arrays that the
+allocator maps and returns to the system on every call. A forward_cached
+cache is therefore valid until the next forward pass of the same network;
+backward raises on a stale one.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ class Mlp:
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.activation = activation
+        self._work = {}  # (kind, hidden layer) -> (rows, width) array, grown on demand
+        self._passes = 0
 
     @classmethod
     def initialize(cls, layer_sizes, activation="relu", rng=None):
@@ -94,10 +103,14 @@ class Mlp:
             )
         return x
 
-    def _act(self, pre):
-        if self.activation == "relu":
-            return np.maximum(pre, 0.0)
-        return np.tanh(pre)
+    def _work_rows(self, kind, k, rows):
+        """The first `rows` rows of work array `kind` of hidden layer k; a
+        short array is replaced by one at least twice as long."""
+        buf = self._work.get((kind, k))
+        if buf is None or len(buf) < rows:
+            size = rows if buf is None else max(rows, 2 * len(buf))
+            buf = self._work[(kind, k)] = np.empty((size, self.layer_sizes[k + 1]))
+        return buf[:rows]
 
     def forward(self, x):
         y, _ = self.forward_cached(x)
@@ -106,21 +119,27 @@ class Mlp:
     def forward_cached(self, x):
         """Forward pass keeping intermediate activations for backward().
 
-        Returns (output, cache); the cache holds the 2-D per-layer inputs and
-        pre-activations plus whether the input needed promotion to 2-D.
+        Returns (output, cache); the cache holds the 2-D per-layer inputs
+        (the hidden ones in work arrays), whether the input needed promotion
+        to 2-D, and the pass number that backward checks. The output is a
+        fresh array.
         """
         x = self._check_input(x)
         single = x.ndim == 1
-        h = np.atleast_2d(x)
-        acts = [h]
-        pres = []
-        n_layers = len(self.weights)
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = acts[-1] @ w + b
-            pres.append(pre)
-            acts.append(self._act(pre) if k < n_layers - 1 else pre)
+        acts = [np.atleast_2d(x)]
+        for k in range(len(self.weights) - 1):
+            act = self._work_rows("act", k, len(acts[0]))
+            np.matmul(acts[-1], self.weights[k], out=act)
+            act += self.biases[k]
+            if self.activation == "relu":
+                np.maximum(act, 0.0, out=act)
+            else:
+                np.tanh(act, out=act)
+            acts.append(act)
+        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
+        self._passes += 1
         out = acts[-1][0] if single else acts[-1]
-        return out, (acts, pres, single)
+        return out, (acts, single, self._passes)
 
     def backward(self, cache, grad_output):
         """Backpropagate an upstream gradient through the cached forward pass.
@@ -133,7 +152,9 @@ class Mlp:
             (grads, grad_input) where grads matches params() keys and
             grad_input is dL/d(input).
         """
-        acts, pres, single = cache
+        acts, single, pass_number = cache
+        if pass_number != self._passes:
+            raise ValueError("stale cache: a later forward pass has reused its work arrays")
         delta = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         if delta.shape != acts[-1].shape:
             raise ValueError(
@@ -144,12 +165,19 @@ class Mlp:
         n_layers = len(self.weights)
         for k in range(n_layers - 1, -1, -1):
             if k < n_layers - 1:
+                # the derivative from the activation itself: relu passes
+                # where it is positive, tanh' = 1 - tanh^2
                 if self.activation == "relu":
-                    delta = delta * (pres[k] > 0.0)
+                    np.multiply(delta, acts[k + 1] > 0.0, out=delta)
                 else:
-                    delta = delta * (1.0 - np.tanh(pres[k]) ** 2)
+                    np.multiply(delta, 1.0 - acts[k + 1] ** 2, out=delta)
             grads[f"w{k}"] = acts[k].T @ delta
             grads[f"b{k}"] = delta.sum(axis=0)
-            delta = delta @ self.weights[k].T
+            if k > 0:
+                delta = np.matmul(
+                    delta, self.weights[k].T, out=self._work_rows("grad", k - 1, len(delta))
+                )
+            else:
+                delta = delta @ self.weights[k].T
         grad_input = delta[0] if single else delta
         return grads, grad_input

@@ -6,9 +6,10 @@ at or after that timestep (the future strategy) or with its final achieved
 goal. Rewards are always recomputed from the achieved goal of the
 transition's destination state against the sample's effective goal.
 
-Transitions are mirrored into flat preallocated arrays so minibatch
-sampling is fully vectorized; eviction is FIFO over whole trajectories
-once the transition capacity is exceeded. Each trajectory's deduplicated
+Transitions are mirrored into flat arrays so minibatch sampling is fully
+vectorized; the arrays grow geometrically up to a cap of about 1.25x the
+transition capacity, and eviction is FIFO over whole trajectories once the
+transition capacity is exceeded. Each trajectory's deduplicated
 hindsight goal set is computed once, at store time, as first-visit row
 offsets into those arrays, so a sampled batch gathers its goal sets as one
 padded table.
@@ -20,6 +21,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .envs.base import row_norm, sparse_reward
 
 HER_STRATEGIES = ("future", "final")
 
@@ -166,12 +169,9 @@ def first_visit_rows(goals, dedup_tol=0.0):
     once per kept goal: take the first remaining row, then drop every row
     within dedup_tol of it.
     """
-    diff = goals[:, None, :] - goals[None, :, :]
-    # a stacked matmul squares each difference with the same dot routine
-    # np.linalg.norm uses on one vector, so distances at the tolerance
-    # round the same way as in a pair-by-pair scan
-    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-    near = dist <= dedup_tol
+    # row_norm rounds each distance like np.linalg.norm of that pair alone,
+    # so ties at the tolerance go the same way as in a pair-by-pair scan
+    near = row_norm(goals[:, None, :] - goals[None, :, :]) <= dedup_tol
     remaining = np.ones(len(goals), dtype=bool)
     kept = []
     i = 0
@@ -211,11 +211,11 @@ class HerBuffer:
 
     Per-trajectory bookkeeping lives in columns indexed by slot, in store
     order: the flat-array base row, the horizon, the running transition
-    count at its end (evictions included), and the first-visit rows of its
-    goal set as offsets from the base, padded with offset 0. A store writes
-    one slot at the tail and an eviction advances the head, so neither
-    rebuilds the columns; they are repacked only when the tail reaches
-    their end, at twice the live size.
+    count at its end (evictions included), the desired goal, and the
+    first-visit rows of its goal set as offsets from the base, padded with
+    offset 0. A store writes one slot at the tail and an eviction advances
+    the head, so neither rebuilds the columns; they are repacked only when
+    the tail reaches their end, at twice the live size.
     """
 
     def __init__(self, state_dim, action_dim, goal_dim, success_tolerance,
@@ -235,14 +235,17 @@ class HerBuffer:
         self._trajectories: list[Trajectory] = []  # live trajectories, slot order
         self._n_transitions = 0
         self._n_stored = 0  # transitions ever stored, evicted ones included
-        self._flat_alloc = 0
-        self._fill = 0  # rows used in the state/goal flat arrays (T+1 per trajectory)
+        self._fill = 0  # rows used in the flat arrays (T+1 per trajectory)
+        self._states = np.empty((0, self.state_dim))
+        self._actions = np.empty((0, self.action_dim))
+        self._achieved = np.empty((0, self.goal_dim))
         self._head = 0  # slot of the oldest live trajectory
         self._tail = 0  # one past the newest live slot
         self._bases = np.empty(0, dtype=np.int64)
         self._lengths = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
         self._goal_counts = np.empty(0, dtype=np.int64)
+        self._desired = np.empty((0, self.goal_dim))
         self._goal_rows = np.empty((0, 0), dtype=np.int64)
 
     # -- storage ------------------------------------------------------------
@@ -262,21 +265,32 @@ class HerBuffer:
         return list(self._trajectories)
 
     def _ensure_alloc(self, extra_rows):
-        if self._flat_alloc == 0:
-            # capacity counts transitions; the flat arrays hold T+1 rows per
-            # trajectory, so leave ~25% headroom before compacting
-            self._flat_alloc = int(self.capacity * 1.25) + 2 * extra_rows + 4
-            self._states = np.empty((self._flat_alloc, self.state_dim))
-            self._actions = np.empty((self._flat_alloc, self.action_dim))
-            self._achieved = np.empty((self._flat_alloc, self.goal_dim))
-            self._desired = np.empty((self._flat_alloc, self.goal_dim))
-        if self._fill + extra_rows > self._flat_alloc:
+        """Make room for `extra_rows` more flat rows: double the arrays up to
+        the cap; only where the rows would pass the cap, first compact the
+        live rows to the front."""
+        need = self._fill + extra_rows
+        alloc = len(self._states)
+        if need <= alloc:
+            return
+        # capacity counts transitions; the flat arrays hold T+1 rows per
+        # trajectory, so the cap leaves ~25% headroom before compacting
+        cap = int(self.capacity * 1.25) + 2 * extra_rows + 4
+        if need > cap:
             self._compact()
+            need = self._fill + extra_rows
+            if need <= alloc:
+                return
+        size = max(need, min(cap, 2 * alloc))
+        for name in ("_states", "_actions", "_achieved"):
+            old = getattr(self, name)
+            grown = np.empty((size, old.shape[1]))
+            grown[: self._fill] = old[: self._fill]
+            setattr(self, name, grown)
 
     def _compact(self):
         shift = self._bases[self._head] if self._trajectories else self._fill
         keep = self._fill - shift
-        for arr in (self._states, self._actions, self._achieved, self._desired):
+        for arr in (self._states, self._actions, self._achieved):
             arr[:keep] = arr[shift : self._fill]
         self._bases[self._head : self._tail] -= shift
         self._fill = keep
@@ -287,9 +301,10 @@ class HerBuffer:
         live = slice(self._head, self._tail)
         n_live = self._tail - self._head
         size = max(16, 2 * n_live)
-        for name in ("_bases", "_lengths", "_ends", "_goal_counts"):
-            column = np.zeros(size, dtype=np.int64)
-            column[:n_live] = getattr(self, name)[live]
+        for name in ("_bases", "_lengths", "_ends", "_goal_counts", "_desired"):
+            old = getattr(self, name)
+            column = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
+            column[:n_live] = old[live]
             setattr(self, name, column)
         rows = np.zeros((size, max(width, self._goal_rows.shape[1])), dtype=np.int64)
         rows[:n_live, : self._goal_rows.shape[1]] = self._goal_rows[live]
@@ -319,7 +334,6 @@ class HerBuffer:
         self._states[base : base + rows] = trajectory.states
         self._achieved[base : base + rows] = trajectory.achieved_goals
         self._actions[base : base + horizon] = trajectory.actions
-        self._desired[base : base + rows] = trajectory.desired_goal
         self._fill += rows
         goal_rows = first_visit_rows(trajectory.achieved_goals, self.goal_dedup_tol)
         if self._tail == len(self._lengths) or len(goal_rows) > self._goal_rows.shape[1]:
@@ -330,18 +344,13 @@ class HerBuffer:
         self._lengths[slot] = horizon
         self._ends[slot] = self._n_stored
         self._goal_counts[slot] = len(goal_rows)
+        self._desired[slot] = trajectory.desired_goal
         self._goal_rows[slot, : len(goal_rows)] = goal_rows
         self._tail += 1
         self._trajectories.append(trajectory)
         self._n_transitions += horizon
 
     # -- sampling -----------------------------------------------------------
-
-    def _reward(self, achieved_next, goals):
-        hit = np.linalg.norm(achieved_next - goals, axis=-1) <= self.success_tolerance
-        if self.reward_convention == "zero_one":
-            return hit.astype(np.float64)
-        return hit.astype(np.float64) - 1.0
 
     def sample_batch(self, batch_size, her, rng):
         """Uniform over stored transitions, each independently relabeled
@@ -371,12 +380,13 @@ class HerBuffer:
         actions = self._actions[bases + t]
         next_states = self._states[bases + t + 1]
         achieved_next = self._achieved[bases + t + 1]
-        original_goals = self._desired[bases]
+        original_goals = self._desired[slots]
         goals = original_goals.copy()
         if np.any(relabel):
             ridx = np.flatnonzero(relabel)
             goals[ridx] = self._achieved[bases[ridx] + relabel_t[ridx]]
-        rewards = self._reward(achieved_next, goals)
+        rewards = sparse_reward(achieved_next, goals, self.success_tolerance,
+                                self.reward_convention)
         goal_counts = self._goal_counts[slots]
         goal_rows = bases[:, None] + self._goal_rows[slots, : goal_counts.max()]
         # np.take along axis 0 copies whole rows; the equivalent fancy index

@@ -42,6 +42,109 @@ def scalar_first_visit_rows(goals, dedup_tol=0.0):
     return np.array(kept, dtype=np.int64)
 
 
+def per_rollout_eval(actor, env, n, seed_or_rng):
+    """Mean-action evaluation stepping each episode alone, one env.step per
+    episode and timestep: the reference for the lockstep run_eval. Same
+    reset order and the same rng, so noise draws line up row for row."""
+    rng = (
+        seed_or_rng
+        if isinstance(seed_or_rng, np.random.Generator)
+        else np.random.default_rng(seed_or_rng)
+    )
+    episodes = [env.reset(rng) for _ in range(n)]
+    returns = np.zeros(n)
+    vectorized = hasattr(actor, "mean_action")
+    for _ in range(env.spec.horizon):
+        if vectorized:
+            states = np.array([es.state for es in episodes])
+            goals = np.array([es.desired_goal for es in episodes])
+            actions = actor.mean_action(states, goals)
+        else:
+            actions = [actor(es.state, es.desired_goal) for es in episodes]
+        for i, es in enumerate(episodes):
+            episodes[i], reward, _ = env.step(es, actions[i], rng)
+            returns[i] += reward
+    tol = env.spec.success_tolerance
+    successes = [
+        float(np.linalg.norm(es.achieved_goal - es.desired_goal)) <= tol for es in episodes
+    ]
+    return float(np.mean(successes)), float(returns.mean())
+
+
+def _scalar_in_box(x, y, box):
+    x0, x1, y0, y1 = box
+    return x0 <= x <= x1 and y0 <= y <= y1
+
+
+def scalar_l_maze_dynamics(state, action):
+    """One l_maze step for one state with scalar branches: the full move if
+    it stays free, else the x slide, else the y slide, else a stop."""
+    from gchr.envs.l_maze import BOTTOM_STRIP, DT, RIGHT_STRIP, VELOCITY_CLIP
+
+    def free(x, y):
+        return _scalar_in_box(x, y, BOTTOM_STRIP) or _scalar_in_box(x, y, RIGHT_STRIP)
+
+    pos = state[:2].copy()
+    vel = np.clip(state[2:] + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
+    target = pos + vel * DT
+    if free(target[0], target[1]):
+        pos = target
+    elif free(target[0], pos[1]):
+        pos[0] = target[0]
+        vel[1] = 0.0
+    elif free(pos[0], target[1]):
+        pos[1] = target[1]
+        vel[0] = 0.0
+    else:
+        vel[:] = 0.0
+    return np.concatenate([pos, vel])
+
+
+def scalar_block_push_dynamics(state, action):
+    """One block_push step for one state with scalar branches: the block is
+    pushed out of overlap along the agent->block normal, or along the
+    agent's motion (then +x) when the centres coincide."""
+    from gchr.envs.block_push import CONTACT_DIST, DT, WORKSPACE
+
+    agent, block = state[:2], state[2:4]
+    new_agent = np.clip(agent + action * DT, -WORKSPACE, WORKSPACE)
+    offset = block - new_agent
+    dist = float(np.linalg.norm(offset))
+    if dist < CONTACT_DIST:
+        if dist > 1e-12:
+            normal = offset / dist
+        else:
+            motion = new_agent - agent
+            norm = float(np.linalg.norm(motion))
+            normal = motion / norm if norm > 1e-12 else np.array([1.0, 0.0])
+        block = new_agent + CONTACT_DIST * normal
+    return np.concatenate([new_agent, np.clip(block, -WORKSPACE, WORKSPACE)])
+
+
+def fresh_array_pass(net, x, grad_output):
+    """Forward and backward through an Mlp with a fresh array for every
+    intermediate: the reference for the work-array passes. Returns
+    (output, param grads, input grad) for a 2-D batch x."""
+    acts, pres = [x], []
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = acts[-1] @ w + b
+        pres.append(pre)
+        last = k == len(net.weights) - 1
+        acts.append(pre if last else np.maximum(pre, 0.0) if net.activation == "relu"
+                    else np.tanh(pre))
+    delta, grads = grad_output, {}
+    for k in range(len(net.weights) - 1, -1, -1):
+        if k < len(net.weights) - 1:
+            if net.activation == "relu":
+                delta = delta * (pres[k] > 0.0)
+            else:
+                delta = delta * (1.0 - np.tanh(pres[k]) ** 2)
+        grads[f"w{k}"] = acts[k].T @ delta
+        grads[f"b{k}"] = delta.sum(axis=0)
+        delta = delta @ net.weights[k].T
+    return acts[-1], grads, delta
+
+
 def finite_difference_grads(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn over a dict of parameter arrays."""
     grads = {}

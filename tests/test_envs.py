@@ -5,6 +5,7 @@ import pytest
 
 from gchr.envs import (
     BlockPush2D,
+    GoalEnvState,
     LMaze2D,
     PointReach2D,
     TabularGCMDP,
@@ -15,8 +16,11 @@ from gchr.envs import (
     sparse_reward,
     tabular_rollout,
 )
-from gchr.envs.block_push import CONTACT_DIST
+from gchr.envs.base import is_success, row_norm
+from gchr.envs.block_push import CONTACT_DIST, DT
 from gchr.envs.l_maze import in_free_space
+from gchr.replay import HerBuffer, HerConfig, Trajectory
+from oracles import scalar_block_push_dynamics, scalar_l_maze_dynamics
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -200,6 +204,128 @@ def test_reward_is_pure_function_of_goal_distance():
             env.spec.reward_convention,
         )
         assert reward == recomputed
+
+
+# --- batch axis ---------------------------------------------------------------
+
+
+def assert_bitwise_equal(a, b):
+    # view as integers so -0.0 and 0.0 (and any last-ulp change) differ
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def per_row_dynamics(dynamics, states, actions):
+    return np.array([dynamics(s, a) for s, a in zip(states, actions)])
+
+
+def test_row_norm_rounds_each_row_like_the_scalar_norm():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((50, 40, 2))
+    scalar = np.array([[np.linalg.norm(v) for v in row] for row in x])
+    assert_bitwise_equal(row_norm(x), scalar)
+    assert row_norm(x[3, 7]) == np.linalg.norm(x[3, 7])
+    # the premise: the axis-wise norm rounds some of these rows differently
+    assert np.any(np.linalg.norm(x, axis=-1) != scalar)
+
+
+def test_point_reach_stacked_dynamics_match_per_row():
+    rng = np.random.default_rng(13)
+    env = PointReach2D()
+    states = rng.uniform(-1.5, 1.5, size=(500, 4))  # speeds beyond the clip too
+    actions = rng.uniform(-1.0, 1.0, size=(500, 2))
+    assert_bitwise_equal(
+        env._dynamics(states, actions), per_row_dynamics(env._dynamics, states, actions)
+    )
+
+
+def test_l_maze_stacked_dynamics_match_per_row_through_wall_slides():
+    rng = np.random.default_rng(14)
+    env = LMaze2D()
+    pos = rng.uniform(0.0, 1.0, size=(20000, 2))
+    pos = pos[in_free_space(pos)][:3000]
+    states = np.concatenate([pos, rng.uniform(-1.0, 1.0, size=(len(pos), 2))], axis=1)
+    actions = rng.uniform(-1.0, 1.0, size=(len(pos), 2))
+    nxt = env._dynamics(states, actions)
+    assert_bitwise_equal(nxt, per_row_dynamics(scalar_l_maze_dynamics, states, actions))
+    # one state at a time goes through the same body
+    assert_bitwise_equal(nxt[:500], per_row_dynamics(env._dynamics, states[:500], actions[:500]))
+    # every branch ran: free moves, x slides, y slides and full stops
+    vel = np.clip(states[:, 2:] + actions * DT, -1.0, 1.0)
+    blocked = ~in_free_space(states[:, :2] + vel * DT)
+    stopped_y = blocked & (nxt[:, 3] == 0.0) & (nxt[:, 2] != 0.0)
+    stopped_x = blocked & (nxt[:, 2] == 0.0) & (nxt[:, 3] != 0.0)
+    stuck = blocked & np.all(nxt[:, 2:] == 0.0, axis=1)
+    assert np.any(~blocked) and np.any(stopped_y) and np.any(stopped_x) and np.any(stuck)
+
+
+def test_block_push_stacked_dynamics_match_per_row_in_contact():
+    rng = np.random.default_rng(15)
+    env = BlockPush2D()
+    n = 20000
+    agent = rng.uniform(-1.0, 1.0, size=(n, 2))
+    block = agent + rng.uniform(-0.3, 0.3, size=(n, 2))
+    actions = rng.uniform(-1.0, 1.0, size=(n, 2))
+    actions[:10] = 0.0
+    moved = np.clip(agent + actions * DT, -1.0, 1.0)
+    # coincident centres after the move: the push falls back to the motion
+    # direction, or to +x for the rows whose agent did not move
+    block[:20] = moved[:20]
+    states = np.concatenate([agent, block], axis=1)
+    nxt = env._dynamics(states, actions)
+    assert_bitwise_equal(nxt, per_row_dynamics(scalar_block_push_dynamics, states, actions))
+    assert_bitwise_equal(nxt[:500], per_row_dynamics(env._dynamics, states[:500], actions[:500]))
+    contact = row_norm(block - moved) < CONTACT_DIST
+    assert 0.2 < np.mean(contact) < 0.8
+    np.testing.assert_array_equal(nxt[:10, 2:], np.clip(moved[:10] + [CONTACT_DIST, 0.0], -1, 1))
+    # a stack with no row in contact leaves every block where it was
+    far = np.array([[-0.5, 0.0, 0.5, 0.0], [0.5, 0.5, -0.5, -0.5]])
+    np.testing.assert_array_equal(env._dynamics(far, np.zeros((2, 2)))[:, 2:], far[:, 2:])
+
+
+@pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])
+def test_stacked_step_returns_reward_array_and_checks_actions(name):
+    env = make_env(name)
+    rng = np.random.default_rng(16)
+    starts = [env.reset(rng) for _ in range(3)]
+    es = GoalEnvState(np.array([s.state for s in starts]),
+                      np.array([s.achieved_goal for s in starts]),
+                      np.array([s.desired_goal for s in starts]))
+    nxt, rewards, done = env.step(es, np.zeros((3, 2)), rng)
+    assert rewards.shape == (3,) and nxt.state.shape == (3, 4) and done is False
+    single = env.step(starts[0], np.zeros(2), rng)[1]
+    assert isinstance(single, float)
+    with pytest.raises(ValueError, match=r"\(3, 2\)"):
+        env.step(es, np.zeros(2), rng)
+    bad = np.zeros((3, 2))
+    bad[2, 1] = 1.5
+    with pytest.raises(ValueError, match="-1, 1"):
+        env.step(es, bad, rng)
+
+
+def test_buffer_and_env_rewards_agree_at_the_tolerance_boundary():
+    # offsets from a zero goal, so achieved - desired is the offset exactly
+    offsets = np.random.default_rng(17).uniform(-0.05, 0.05, size=(2000, 2))
+    scalar = np.array([np.linalg.norm(o) for o in offsets])
+    axis_wise = np.linalg.norm(offsets, axis=-1)
+    i = int(np.flatnonzero(axis_wise != scalar)[0])
+    tol = min(scalar[i], axis_wise[i])  # the two norms fall on either side of it
+    hit = bool(scalar[i] <= tol)
+    assert hit != bool(axis_wise[i] <= tol)
+    offset, goal = offsets[i], np.zeros(2)
+
+    env = PointReach2D(success_tolerance=tol)
+    es = GoalEnvState(np.concatenate([offset, np.zeros(2)]), offset.copy(), goal)
+    _, env_reward, _ = env.step(es, np.zeros(2), np.random.default_rng(0))
+    assert env_reward == float(hit)
+    assert is_success(offset, goal, tol) == hit
+    assert sparse_reward(offset[None], goal[None], tol)[0] == float(hit)
+
+    buf = HerBuffer(4, 2, 2, tol)
+    states = np.zeros((2, 4))
+    buf.store_trajectory(Trajectory(states, np.zeros((1, 2)), np.stack([goal, offset]), goal))
+    batch = buf.sample_batch(4, HerConfig(relabel_ratio=0.0), np.random.default_rng(0))
+    np.testing.assert_array_equal(batch.rewards, float(hit))
 
 
 # --- tabular family ---------------------------------------------------------

@@ -1,9 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gchr.nn import Mlp
 
-from oracles import finite_difference_grads, max_relative_grad_error, straight_line_forward
+from oracles import (
+    finite_difference_grads,
+    fresh_array_pass,
+    max_relative_grad_error,
+    straight_line_forward,
+)
 
 
 def test_zero_parameter_net_outputs_zero():
@@ -118,3 +125,47 @@ def test_backward_shape_mismatch_raises():
     _, cache = net.forward_cached(np.ones(3))
     with pytest.raises(ValueError, match="gradient"):
         net.backward(cache, np.ones(5))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_work_array_passes_match_fresh_array_reference(activation):
+    # row counts that grow the work arrays, reuse them shorter, and regrow them
+    net = Mlp.initialize([5, 16, 12, 3], activation=activation, rng=4)
+    rng = np.random.default_rng(5)
+    for rows in (40, 300, 7, 301, 650, 1, 300):
+        x = rng.normal(size=(rows, 5))
+        direction = rng.normal(size=(rows, 3))
+        out, cache = net.forward_cached(x)
+        grads, grad_in = net.backward(cache, direction)
+        ref_out, ref_grads, ref_in = fresh_array_pass(net, x, direction)
+        for got, want in [(out, ref_out), (grad_in, ref_in)] + [
+            (grads[k], ref_grads[k]) for k in ref_grads
+        ]:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_backward_rejects_a_cache_whose_work_arrays_were_reused():
+    net = Mlp.initialize([3, 8, 2], rng=0)
+    _, first = net.forward_cached(np.ones((4, 3)))
+    net.forward(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="stale cache"):
+        net.backward(first, np.ones((4, 2)))
+    _, second = net.forward_cached(np.ones((4, 3)))
+    net.backward(second, np.ones((4, 2)))
+
+
+def test_repeated_pass_allocates_no_hidden_width_array():
+    net = Mlp.initialize([6, 64, 64, 4], rng=1)
+    x = np.random.default_rng(2).normal(size=(1024, 6))
+    direction = np.ones((1024, 4))
+    net.backward(net.forward_cached(x)[1], direction)  # grows the work arrays
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        net.backward(net.forward_cached(x)[1], direction)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 1024 x 64 float64 array is 512 kB; the pass allocates only its
+    # output, the input gradient, relu masks and the parameter gradients
+    assert peak < 1024 * 64 * 8

@@ -251,6 +251,34 @@ def test_goal_table_survives_eviction_and_compaction(rng, monkeypatch):
     assert buf.n_transitions <= 60 and compactions
 
 
+def test_flat_arrays_grow_with_use_and_compact_only_at_the_cap(rng, monkeypatch):
+    compactions = []
+    compact = HerBuffer._compact
+    monkeypatch.setattr(HerBuffer, "_compact",
+                        lambda self: compactions.append(1) or compact(self))
+    buf = make_buffer()  # the default capacity of a million transitions
+    rows = 0
+    for _ in range(200):
+        traj = make_trajectory(rng, horizon=int(rng.integers(5, 60)))
+        buf.store_trajectory(traj)
+        rows += traj.horizon + 1
+        assert rows <= len(buf._states) <= 2 * rows
+        assert len(buf._actions) == len(buf._achieved) == len(buf._states)
+    assert not compactions
+
+    buf = make_buffer(capacity=300)
+    her = HerConfig(relabel_ratio=0.5)
+    for i in range(120):
+        buf.store_trajectory(make_trajectory(rng, horizon=int(rng.integers(5, 40))))
+        assert len(buf._states) <= int(300 * 1.25) + 2 * 41 + 4
+        if i % 20 == 19:
+            batch = buf.sample_batch(64, her, rng)
+            for sample, goal in zip(batch, batch.original_goals):
+                np.testing.assert_array_equal(goal, sample.trajectory.desired_goal)
+                np.testing.assert_array_equal(sample.state, sample.trajectory.states[sample.t])
+    assert compactions
+
+
 def test_sample_hindsight_goals_full_fraction_returns_whole_set(rng):
     traj = make_trajectory(rng, horizon=10, walk_scale=1.0)
     goal_set = hindsight_goal_set(traj, 1e-9)
