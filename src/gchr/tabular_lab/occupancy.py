@@ -42,21 +42,15 @@ class OccupancyTable:
 
 def compute_occupancy(mdp, policy, goal):
     """Solve the discounted visitation linear system exactly for one goal."""
-    if not mdp.absorbing_goals:
-        raise ValueError("occupancies are defined on the goal-absorbing formulation")
+    resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass = goal_hitting(
+        mdp, policy, goal
+    )
     gamma = mdp.gamma
     n = mdp.n_states
     p_eff = mdp.effective_transitions(goal)
-    p_pi = policy_transition_matrix(mdp, policy, goal)
-    resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
-    d_marginal = (1.0 - gamma) * resolvent
-    d = (1.0 - gamma) * (
-        np.eye(n)[:, None, :] + gamma * np.einsum("sax,xy->say", p_eff, resolvent)
-    )
-    goal_states = mdp.goal_states(goal)
-    p_goal = d[:, :, goal_states].sum(axis=2)
-    p_goal_marginal = d_marginal[:, goal_states].sum(axis=1)
-    first_hit, hit_mass = _first_hit(mdp, p_pi, goal_states, gamma)
+    reach = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
+    d = (1.0 - gamma) * (np.eye(n)[:, None, :] + gamma * reach)
+    p_goal = d[:, :, mdp.goal_states(goal)].sum(axis=2)
     return OccupancyTable(
         goal=goal,
         gamma=gamma,
@@ -67,6 +61,25 @@ def compute_occupancy(mdp, policy, goal):
         first_hit=first_hit,
         hit_mass=hit_mass,
     )
+
+
+def goal_hitting(mdp, policy, goal):
+    """Everything about one goal but the (S, A, S) occupancy.
+
+    Returns (resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass),
+    where resolvent = (I - gamma P_pi)^-1 and d_marginal = (1 - gamma) times it.
+    """
+    if not mdp.absorbing_goals:
+        raise ValueError("occupancies are defined on the goal-absorbing formulation")
+    gamma = mdp.gamma
+    n = mdp.n_states
+    p_pi = policy_transition_matrix(mdp, policy, goal)
+    resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
+    d_marginal = (1.0 - gamma) * resolvent
+    goal_states = mdp.goal_states(goal)
+    p_goal_marginal = d_marginal[:, goal_states].sum(axis=1)
+    first_hit, hit_mass = _first_hit(mdp, p_pi, goal_states, gamma)
+    return resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass
 
 
 def _first_hit(mdp, p_pi, goal_states, gamma):

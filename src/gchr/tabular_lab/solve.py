@@ -3,8 +3,11 @@
 All values use the goal-absorbing formulation with reward r(s) = 1{phi(s)=g}
 collected at every timestep from t = 0 on, so a state already satisfying the
 goal is worth exactly 1/(1-gamma). Direct evaluation solves the Bellman
-linear system by dense elimination; the iterative variant repeats Bellman
-backups and exists as an independent cross-check route.
+linear system by dense elimination, one goal at a time. The iterative
+variant is the independent cross-check route: it repeats Bellman backups
+for every goal of the policy at once, one (goals, S) @ (S, S*A) product per
+sweep on the raw transitions, with the goal-absorbing rows applied as a
+phi == g mask, and retires each goal when its own update falls to tol.
 """
 
 from __future__ import annotations
@@ -36,29 +39,55 @@ def policy_evaluation_direct(mdp, policy, goal):
     return q, v
 
 
-def policy_evaluation_iterative(mdp, policy, goal, tol=1e-12, max_iters=200_000):
-    """Fixed-point iteration of the Bellman expectation backup on Q.
+class EvaluationNotConverged(RuntimeError):
+    """Iterative evaluation ran out of sweeps; `goals` are the ones still moving."""
 
-    Independent of the direct solve; iterates until the sup-norm update
-    falls below tol (final error is at most tol * gamma / (1 - gamma)).
+    def __init__(self, goals, max_iters):
+        super().__init__(
+            f"policy evaluation did not converge for goals {goals} in {max_iters} sweeps"
+        )
+        self.goals = goals
+
+
+def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=200_000):
+    """Fixed-point iteration of the Bellman expectation backup on Q, all goals at once.
+
+    Independent of the direct solve. Returns q (S, A, G) and v (S, G). Each
+    goal iterates until its own sup-norm update falls to tol (final error is
+    at most tol * gamma / (1 - gamma)), so it runs the sweeps it would run
+    alone; goals still moving after max_iters raise EvaluationNotConverged.
     """
     if not mdp.absorbing_goals:
         raise ValueError("evaluation requires the goal-absorbing formulation")
-    r = reward_vector(mdp, goal)
-    p_eff = mdp.effective_transitions(goal)
-    pi = policy.for_goal(goal)
-    q = np.zeros((mdp.n_states, mdp.n_actions))
+    n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals
+    # Q is stored goal-major: one (S, A) block per active goal
+    active = np.arange(n_goals)
+    # (G, S) phi(s) == g: the goal-absorbing rows, and also the reward
+    absorbing = mdp.phi[None, :] == active[:, None]
+    pi_all = policy.probs.transpose(1, 0, 2)
+    pi = pi_all
+    next_state = mdp.transitions.reshape(n_states * n_actions, n_states).T
+    q_done = np.empty((n_goals, n_states, n_actions))
+    q = np.zeros((n_goals, n_states, n_actions))
     for _ in range(max_iters):
-        v = (pi * q).sum(axis=1)
-        q_next = r[:, None] + mdp.gamma * np.einsum("sax,x->sa", p_eff, v)
-        delta = float(np.max(np.abs(q_next - q)))
+        v = (pi * q).sum(axis=2)
+        q_next = (v @ next_state).reshape(q.shape)
+        q_next[absorbing] = v[absorbing][:, None]  # goal states self-loop
+        q_next *= mdp.gamma
+        q_next += absorbing[:, :, None]
+        delta = np.abs(q_next - q).max(axis=(1, 2))
         q = q_next
-        if delta <= tol:
-            break
+        done = delta <= tol
+        if done.any():
+            q_done[active[done]] = q[done]
+            moving = ~done
+            active, q, absorbing, pi = active[moving], q[moving], absorbing[moving], pi[moving]
+            if not active.size:
+                break
     else:
-        raise RuntimeError("policy evaluation did not converge")
-    v = (pi * q).sum(axis=1)
-    return q, v
+        raise EvaluationNotConverged(active.tolist(), max_iters)
+    v = (pi_all * q_done).sum(axis=2)
+    return q_done.transpose(1, 2, 0), v.T
 
 
 def greedy_policy_slice(q):

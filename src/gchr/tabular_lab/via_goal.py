@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .occupancy import HIT_MASS_FLOOR, compute_occupancy
+from .occupancy import HIT_MASS_FLOOR, compute_occupancy, goal_hitting
 from .solve import policy_evaluation_direct
 
 
@@ -54,10 +54,9 @@ def via_goal_tensor(mdp, policy):
     defined = np.empty((n_states, n_goals), dtype=bool)
     downstream = np.zeros((n_states, n_goals, n_goals))
     for sub in range(n_goals):
-        table = compute_occupancy(mdp, policy, sub)
-        p_hit[:, sub] = table.p_goal_marginal
-        defined[:, sub] = table.hit_mass > HIT_MASS_FLOOR
-        downstream[:, :, sub] = table.first_hit @ values
+        _, _, p_hit[:, sub], first_hit, hit_mass = goal_hitting(mdp, policy, sub)
+        defined[:, sub] = hit_mass > HIT_MASS_FLOOR
+        downstream[:, :, sub] = first_hit @ values
     downstream *= defined[:, None, :]
     v_via = p_hit[:, None, :] * downstream
     return v_via, p_hit, downstream, defined

@@ -195,6 +195,47 @@ def geometric_tail(gamma, start):
     return gamma**start / (1.0 - gamma)
 
 
+def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_000):
+    """Bellman backups on one goal's (S, A) Q with the goal-absorbing tensor
+    written out, until the sup-norm update falls to tol: the reference for
+    the batched policy_evaluation_iterative. Returns (q, v, sweeps)."""
+    r = (mdp.phi == goal).astype(np.float64)
+    p_eff = mdp.effective_transitions(goal)
+    pi = policy.for_goal(goal)
+    q = np.zeros((mdp.n_states, mdp.n_actions))
+    for sweep in range(1, max_iters + 1):
+        v = (pi * q).sum(axis=1)
+        q_next = r[:, None] + mdp.gamma * np.einsum("sax,x->sa", p_eff, v)
+        delta = float(np.max(np.abs(q_next - q)))
+        q = q_next
+        if delta <= tol:
+            return q, (pi * q).sum(axis=1), sweep
+    raise RuntimeError("policy evaluation did not converge")
+
+
+def occupancy_via_goal_tensor(mdp, policy):
+    """Via-goal tensor assembled from one full compute_occupancy table per
+    subgoal: the reference for via_goal_tensor, which skips the (S, A, S)
+    occupancy. Returns (v_via, p_hit, downstream, defined)."""
+    from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
+    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
+
+    n_goals = policy.n_goals
+    values = np.stack(
+        [policy_evaluation_direct(mdp, policy, g)[1] for g in range(n_goals)], axis=1
+    )
+    p_hit = np.empty((mdp.n_states, n_goals))
+    defined = np.empty((mdp.n_states, n_goals), dtype=bool)
+    downstream = np.zeros((mdp.n_states, n_goals, n_goals))
+    for sub in range(n_goals):
+        table = compute_occupancy(mdp, policy, sub)
+        p_hit[:, sub] = table.p_goal_marginal
+        defined[:, sub] = table.hit_mass > HIT_MASS_FLOOR
+        downstream[:, :, sub] = table.first_hit @ values
+    downstream *= defined[:, None, :]
+    return p_hit[:, None, :] * downstream, p_hit, downstream, defined
+
+
 def _step_markov(states, cum_rows, rng):
     u = rng.random(states.shape[0])
     nxt = (cum_rows[states] < u[:, None]).sum(axis=1)

@@ -1,5 +1,10 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gchr.tabular_lab.report as tabular_report
 
 from gchr.agent import load_actor_from_checkpoint
 from gchr.envs import make_env, scripted_reach_action
@@ -13,6 +18,7 @@ from gchr.harness import (
 )
 from gchr.harness.cli import main
 from gchr.nn.actor_critic import PolicyNet
+from gchr.tabular_lab import policy_evaluation_iterative
 
 from oracles import per_rollout_eval
 
@@ -107,3 +113,39 @@ def test_train_set_overrides_share_the_eval_parser(tmp_path):
     for bad in (["env.horizon"], ["horizon=3"], ["env.bogus=1"], ["env.horizon=x"]):
         with pytest.raises(ConfigError):
             default_config(bad)
+
+
+CHAIN3 = Path(__file__).resolve().parent.parent / "assets" / "chain3.mdp"
+
+
+def test_cli_tabular_verify_passes_and_writes_the_csv(tmp_path, capsys):
+    csv_path = tmp_path / "report.csv"
+    assert main(["tabular-verify", "--mdp", str(CHAIN3), "--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    assert "10/10 checks passed" in out
+    rows = csv_path.read_text().splitlines()
+    assert rows[0].startswith("check,passed,margin") and len(rows) == 11
+    assert all(row.split(",")[1] == "1" for row in rows[1:])
+
+
+def test_cli_tabular_verify_bad_files_exit_1(tmp_path, capsys):
+    malformed = tmp_path / "bad.mdp"
+    malformed.write_text("n_states 3\nn_actions 2\ngamma 0.5\nphi 0 1\n")
+    assert main(["tabular-verify", "--mdp", str(malformed)]) == 1
+    assert "phi lists 2 entries" in capsys.readouterr().err
+    assert main(["tabular-verify", "--mdp", str(tmp_path / "missing.mdp")]) == 1
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_cli_tabular_verify_reports_non_convergence_and_exits_1(monkeypatch, capsys):
+    # chain3 needs 41 sweeps at gamma = 0.5; a cap of 5 stops every goal early
+    monkeypatch.setattr(tabular_report, "policy_evaluation_iterative",
+                        functools.partial(policy_evaluation_iterative, max_iters=5))
+    assert main(["tabular-verify", "--mdp", str(CHAIN3)]) == 1
+    captured = capsys.readouterr()
+    line = next(row for row in captured.out.splitlines()
+                if "q_equals_p_over_one_minus_gamma" in row)
+    assert line.startswith("FAIL") and "margin=inf" in line
+    assert "did not converge: policy 0 goals [0, 1, 2]" in line
+    assert "9/10 checks passed" in captured.out
+    assert "Traceback" not in captured.err

@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gchr.envs import load_tabular_mdp
+from gchr.envs import TabularGCMDP, load_tabular_mdp
 from gchr.tabular_lab import (
     TabularPolicy,
     compute_occupancy,
+    make_gridworld,
     policy_evaluation_direct,
     policy_evaluation_iterative,
     q_from_occupancy,
@@ -14,9 +15,9 @@ from gchr.tabular_lab import (
     v_from_occupancy,
 )
 from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
-from gchr.tabular_lab.solve import policy_transition_matrix
+from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix
 
-from oracles import geometric_tail
+from oracles import geometric_tail, per_goal_iterative_evaluation
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -93,6 +94,26 @@ def test_value_at_goal_state_is_full_discounted_series():
     assert v_from_occupancy(table, 2) == pytest.approx(1.0 / (1 - 0.5), abs=1e-12)
 
 
+def test_occupancy_d_matches_einsum_reference(rng):
+    # the BLAS matmul on the (S*A, S) reshape against the tensor contraction
+    # it replaced, goal-absorbing rows included
+    phi = np.arange(20) // 3  # goal sets of three states (two for the last goal)
+    mdp = make_gridworld(5, 4, gamma=0.9, slip=0.3, phi=phi)
+    policy = TabularPolicy.random(20, mdp.n_goals, 4, rng)
+    for goal in range(mdp.n_goals):
+        table = compute_occupancy(mdp, policy, goal)
+        p_pi = policy_transition_matrix(mdp, policy, goal)
+        resolvent = np.linalg.solve(np.eye(20) - 0.9 * p_pi, np.eye(20))
+        p_eff = mdp.effective_transitions(goal)
+        d_ref = (1 - 0.9) * (
+            np.eye(20)[:, None, :] + 0.9 * np.einsum("sax,xy->say", p_eff, resolvent)
+        )
+        np.testing.assert_allclose(table.d, d_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            table.p_goal, d_ref[:, :, mdp.goal_states(goal)].sum(axis=2), rtol=0, atol=1e-14
+        )
+
+
 def test_identity_against_iterative_evaluation_random_mdps(rng):
     for _ in range(10):
         n_s = int(rng.integers(3, 8))
@@ -101,19 +122,81 @@ def test_identity_against_iterative_evaluation_random_mdps(rng):
         gamma = rng.choice([0.5, 0.9, 0.98])
         mdp = random_mdp(rng, n_s, n_a, n_g, gamma)
         policy = TabularPolicy.random(n_s, n_g, n_a, rng)
+        q_iter, _ = policy_evaluation_iterative(mdp, policy)
+        assert q_iter.shape == (n_s, n_a, n_g)
         for goal in range(n_g):
             table = compute_occupancy(mdp, policy, goal)
-            q_iter, _ = policy_evaluation_iterative(mdp, policy, goal)
-            assert np.max(np.abs(q_from_occupancy(table) - q_iter)) <= 1e-9
+            assert np.max(np.abs(q_from_occupancy(table) - q_iter[:, :, goal])) <= 1e-9
 
 
 def test_direct_and_iterative_evaluation_agree(rng):
     mdp = random_mdp(rng, 6, 3, 3, 0.95)
     policy = TabularPolicy.random(6, 3, 3, rng)
-    q_dir, v_dir = policy_evaluation_direct(mdp, policy, 0)
-    q_it, v_it = policy_evaluation_iterative(mdp, policy, 0)
-    np.testing.assert_allclose(q_dir, q_it, atol=1e-10)
-    np.testing.assert_allclose(v_dir, v_it, atol=1e-10)
+    q_it, v_it = policy_evaluation_iterative(mdp, policy)
+    assert v_it.shape == (6, 3)
+    for goal in range(3):
+        q_dir, v_dir = policy_evaluation_direct(mdp, policy, goal)
+        np.testing.assert_allclose(q_dir, q_it[:, :, goal], atol=1e-10)
+        np.testing.assert_allclose(v_dir, v_it[:, goal], atol=1e-10)
+
+
+def deterministic_mdp(rng, n_states, n_actions, n_goal_ids, gamma):
+    """One-hot transitions: every Bellman backup sums one nonzero term, so
+    the batched and per-goal routes round identically."""
+    transitions = np.zeros((n_states, n_actions, n_states))
+    nxt = rng.integers(0, n_states, size=(n_states, n_actions))
+    transitions[np.arange(n_states)[:, None], np.arange(n_actions), nxt] = 1.0
+    phi = rng.integers(0, n_goal_ids, size=n_states)
+    phi[0] = n_goal_ids - 1  # keep every id in range; lower ids may own no state
+    return TabularGCMDP(transitions, phi, gamma)
+
+
+def test_batched_iterative_evaluation_retires_each_goal_like_the_per_goal_oracle(rng):
+    # on one-hot dynamics the batched sweeps must equal the per-goal loop
+    # bit for bit, and each goal must stop after exactly the oracle's sweeps
+    split = grouped = 0
+    for _ in range(8):
+        for gamma in (0.5, 0.9, 0.98):
+            mdp = deterministic_mdp(rng, 8, 3, 4, gamma)
+            policy = TabularPolicy.random(8, 4, 3, rng)
+            q, v = policy_evaluation_iterative(mdp, policy)
+            sweeps = []
+            for goal in range(4):
+                q_ref, v_ref, n_sweeps = per_goal_iterative_evaluation(mdp, policy, goal)
+                np.testing.assert_array_equal(q[:, :, goal], q_ref)
+                np.testing.assert_array_equal(v[:, goal], v_ref)
+                sweeps.append(n_sweeps)
+            for cap in sorted(set(sweeps))[:-1]:
+                with pytest.raises(EvaluationNotConverged) as info:
+                    policy_evaluation_iterative(mdp, policy, max_iters=cap)
+                assert info.value.goals == [g for g in range(4) if sweeps[g] > cap]
+            split += len(set(sweeps)) > 1
+            grouped += int(np.bincount(mdp.phi).max() > 1)
+    assert split >= 5 and grouped >= 20  # goals stop at different sweeps; goal sets >1 state
+
+
+def test_batched_iterative_evaluation_matches_per_goal_oracle_on_dense_mdps(rng):
+    # dense rows round differently under the matmul, so compare to a
+    # tolerance far below the convergence error tol * gamma / (1 - gamma)
+    for _ in range(4):
+        for gamma in (0.5, 0.9, 0.98):
+            mdp = random_mdp(rng, 9, 3, 4, gamma)
+            policy = TabularPolicy.random(9, 4, 3, rng)
+            q, v = policy_evaluation_iterative(mdp, policy)
+            for goal in range(4):
+                q_ref, v_ref, _ = per_goal_iterative_evaluation(mdp, policy, goal)
+                np.testing.assert_allclose(q[:, :, goal], q_ref, rtol=0, atol=1e-13 / (1 - gamma))
+                np.testing.assert_allclose(v[:, goal], v_ref, rtol=0, atol=1e-13 / (1 - gamma))
+
+
+def test_iterative_evaluation_raises_off_the_absorbing_formulation_and_at_the_cap(rng):
+    mdp = random_mdp(rng, 5, 2, 3, 0.9, absorbing_goals=False)
+    with pytest.raises(ValueError, match="absorbing"):
+        policy_evaluation_iterative(mdp, TabularPolicy.uniform(5, 3, 2))
+    mdp = random_mdp(rng, 5, 2, 3, 0.9)
+    with pytest.raises(RuntimeError, match="did not converge") as info:
+        policy_evaluation_iterative(mdp, TabularPolicy.uniform(5, 3, 2), max_iters=20)
+    assert info.value.goals == [0, 1, 2]
 
 
 def test_first_hit_support_and_normalization(rng):

@@ -14,7 +14,7 @@ from gchr.tabular_lab import (
     via_goal_value,
 )
 
-from oracles import mc_via_goal
+from oracles import mc_via_goal, occupancy_via_goal_tensor
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -90,3 +90,19 @@ def test_hit_probability_equals_one_minus_gamma_times_value(rng):
     for sub in range(12):
         _, v = policy_evaluation_direct(mdp, policy, sub)
         np.testing.assert_allclose(p_hit[:, sub], (1 - 0.9) * v, atol=1e-10)
+
+
+def test_tensor_matches_reference_built_from_occupancy_tables(rng):
+    # a wall column cuts the grid in two, so some subgoals are unreachable
+    # (undefined first-hit rows); pairs of cells share a goal id
+    walls = [(1, 0), (1, 1), (1, 2)]
+    n_states = len(grid_cells(4, 3, walls))
+    mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
+    policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
+    got = via_goal_tensor(mdp, policy)
+    want = occupancy_via_goal_tensor(mdp, policy)
+    defined = want[3]
+    assert defined.any() and not defined.all()
+    np.testing.assert_array_equal(got[3], defined)
+    for g, w in zip(got[:3], want[:3]):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
