@@ -50,7 +50,6 @@ from .nn import (
     reparam_grads,
     save_params,
 )
-from .replay import hindsight_goal_set, sample_hindsight_goals
 
 PRIOR_SOURCES = ("target_actor", "delayed_copy")
 
@@ -64,7 +63,7 @@ class GchrConfig:
     batch_size: int = 256
     updates_per_cycle: int = 40
     hindsight_goals: int | None = None  # fixed K; None derives K from the fraction
-    hindsight_goal_fraction: float = 1.0
+    hindsight_goal_fraction: float = 1.0  # K = ceil(fraction * |goal set|), at least 1
     prior_source: str = "target_actor"
     tau_delay: int = 40
     entropy_coeff: float = 0.0
@@ -125,73 +124,19 @@ class AgentNets:
 
 def resolve_k(cfg, n_available):
     """Number of mixture components for hindsight goal sets of the given
-    sizes (a scalar or an array of sizes)."""
+    sizes (an array of sizes)."""
     if cfg.hindsight_goals is not None:
         return np.full_like(n_available, cfg.hindsight_goals, dtype=np.int64)
     k = np.ceil(cfg.hindsight_goal_fraction * np.asarray(n_available))
     return np.maximum(1, k).astype(np.int64)
 
 
-class MixturePrior:
-    """Equal-weight mixture of a prior policy's conditionals at one state,
-    one component per hindsight goal."""
-
-    def __init__(self, state, goals, prior_net):
-        self.state = np.asarray(state, dtype=np.float64)
-        self.goals = np.asarray(goals, dtype=np.float64)
-        self.prior_net = prior_net
-        self._heads = None
-
-    @property
-    def n_components(self):
-        return len(self.goals)
-
-    def _component_heads(self):
-        if self._heads is None:
-            states = np.broadcast_to(self.state, (self.n_components, self.state.shape[0]))
-            self._heads = self.prior_net.head(states, self.goals)
-        return self._heads
-
-    def log_prob(self, action):
-        """Exact mixture log-density: logsumexp of component log-densities minus log K."""
-        heads = self._component_heads()
-        action = np.asarray(action, dtype=np.float64)
-        logps = gaussian_log_prob(heads, np.broadcast_to(action, self.goals.shape[:1] + action.shape[-1:]))
-        peak = np.max(logps)
-        return float(peak + np.log(np.exp(logps - peak).sum()) - np.log(self.n_components))
-
-    def sample(self, rng, n=1):
-        """Draw n actions: uniform component choice, then the component's Gaussian."""
-        comp = rng.integers(0, self.n_components, size=n)
-        heads = self._component_heads()
-        means = heads.mean[comp]
-        log_stds = heads.log_std[comp]
-        noise = rng.standard_normal(means.shape)
-        chosen = DiagGaussianHead(means, log_stds, squash=heads.squash)
-        return reparam_action(chosen, noise)
-
-
-def build_hgr_prior(state, goal, trajectory, nets, cfg, rng, goal_set=None, dedup_tol=0.0):
-    """Mixture prior for one (state, goal) pair from its source trajectory.
-
-    Samples K hindsight goals from the trajectory's achieved-goal set
-    (without replacement while K fits) and wraps the prior-source policy's
-    conditionals as an equal-weight mixture. `goal` only selects the pair;
-    the prior conditions on the hindsight goals.
-    """
-    del goal  # the prior depends on the state and the hindsight goals only
-    if goal_set is None:
-        goal_set = hindsight_goal_set(trajectory, dedup_tol)
-    k = int(resolve_k(cfg, len(goal_set)))
-    goals = sample_hindsight_goals(trajectory, k, rng, goal_set=goal_set)
-    return MixturePrior(state, goals, nets.prior_actor(cfg))
-
-
 class BatchedHgrPriors:
     """Per-sample mixture priors packed for vectorized sampling.
 
-    Component goals are padded to the largest K in the batch; `counts`
-    records each element's true component count.
+    Element i's prior is the equal-weight mixture of pi(. | states[i], g)
+    over its component goals g, padded to the largest K in the batch;
+    `counts` records each element's true component count.
     """
 
     def __init__(self, states, padded_goals, counts, prior_net):
@@ -213,17 +158,14 @@ class BatchedHgrPriors:
         noise = rng.standard_normal(head.mean.shape)
         return reparam_action(head, noise).reshape(n, m, -1)
 
-    def element(self, i):
-        k = int(self.counts[i])
-        return MixturePrior(self.states[i], self.padded_goals[i, :k], self.prior_net)
-
 
 def build_hgr_priors_batch(batch, nets, cfg, rng):
-    """Priors for a whole minibatch, conditioning on the original desired goals.
+    """Priors for a whole minibatch; hgr_loss scores them on the original desired goals.
 
     When K equals the full goal-set size (the default fraction of 1), the
     component set is the whole hindsight goal set: the batch's goal table
-    is used as it is. Otherwise each element draws its own K-subset.
+    is used as it is. Otherwise each element draws its own K goals
+    uniformly, without replacement while K fits in its set.
     """
     counts = batch.goal_counts
     ks = resolve_k(cfg, counts)
@@ -449,8 +391,7 @@ class GchrAgent:
     def act(self, state, goal, rng=None, greedy=False):
         if greedy:
             return self.nets.actor.mean_action(state, goal)
-        action, _ = self.nets.actor.sample(state, goal, rng)
-        return action
+        return self.nets.actor.sample(state, goal, rng)
 
     def update(self, buffer, her, rng):
         """One gradient step on a fresh minibatch; returns the loss terms."""

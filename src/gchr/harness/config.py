@@ -3,8 +3,8 @@
 Four sections mirror the moving parts:
 
     [env]    name plus GoalEnvSpec overrides
-    [her]    relabeling strategy, ratio, hindsight goal fraction
-    [agent]  every learning-core knob
+    [her]    relabeling strategy and ratio
+    [agent]  every learning-core knob, the hindsight goal count K included
     [run]    seeds, schedule, evaluation and output settings
 
 Unknown sections or keys are rejected (exit code 2 at the CLI). Values set
@@ -69,12 +69,8 @@ class ExperimentConfig:
         return make_env(self.env_name, **self.env_overrides())
 
     def resolved_agent_config(self, env):
-        """Agent config with the env- and her-coupled fields filled in."""
-        return replace(
-            self.agent,
-            reward_convention=env.spec.reward_convention,
-            hindsight_goal_fraction=self.her.hindsight_goal_fraction,
-        )
+        """Agent config with the env-coupled reward convention filled in."""
+        return replace(self.agent, reward_convention=env.spec.reward_convention)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -106,7 +102,6 @@ _ENV_KEYS = {
 _HER_KEYS = {
     "strategy": str,
     "relabel_ratio": float,
-    "hindsight_goal_fraction": float,
 }
 _AGENT_KEYS = {
     "alpha": float,
@@ -116,6 +111,7 @@ _AGENT_KEYS = {
     "batch_size": int,
     "updates_per_cycle": int,
     "hindsight_goals": _parse_optional_int,
+    "hindsight_goal_fraction": float,
     "prior_source": str,
     "tau_delay": int,
     "entropy_coeff": float,
@@ -227,12 +223,11 @@ def write_config(cfg, path):
     parser["her"] = {
         "strategy": cfg.her.strategy,
         "relabel_ratio": repr(cfg.her.relabel_ratio),
-        "hindsight_goal_fraction": repr(cfg.her.hindsight_goal_fraction),
     }
     agent = {}
     for f in fields(GchrConfig):
-        if f.name in ("reward_convention", "hindsight_goal_fraction"):
-            continue  # derived from [env] / [her]
+        if f.name == "reward_convention":
+            continue  # derived from [env]
         value = getattr(cfg.agent, f.name)
         if f.name == "hidden_sizes":
             agent[f.name] = " ".join(str(v) for v in value)

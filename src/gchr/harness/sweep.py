@@ -21,7 +21,7 @@ def apply_axis(cfg, axis, value):
     if axis == "alpha":
         return replace(cfg, agent=replace(cfg.agent, alpha=float(value)))
     if axis == "K_fraction":
-        return replace(cfg, her=replace(cfg.her, hindsight_goal_fraction=float(value)))
+        return replace(cfg, agent=replace(cfg.agent, hindsight_goal_fraction=float(value)))
     if axis == "relabel_ratio":
         return replace(cfg, her=replace(cfg.her, relabel_ratio=float(value)))
     if axis == "action_noise":

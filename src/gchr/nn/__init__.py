@@ -8,7 +8,6 @@ from .gaussian import (
     DiagGaussianHead,
     gaussian_log_prob,
     gaussian_log_prob_grads,
-    gaussian_sample,
     reparam_action,
     reparam_grads,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "DiagGaussianHead",
     "gaussian_log_prob",
     "gaussian_log_prob_grads",
-    "gaussian_sample",
     "reparam_action",
     "reparam_grads",
     "Mlp",

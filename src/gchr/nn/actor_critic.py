@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import LOG_STD_MAX, LOG_STD_MIN, DiagGaussianHead, gaussian_sample
+from .gaussian import LOG_STD_MAX, LOG_STD_MIN, DiagGaussianHead, reparam_action
 from .mlp import Mlp
 
 
@@ -46,7 +46,9 @@ class PolicyNet:
         return self.head(states, goals).mode()
 
     def sample(self, states, goals, rng):
-        return gaussian_sample(self.head(states, goals), rng)
+        """One reparameterized action draw per row."""
+        head = self.head(states, goals)
+        return reparam_action(head, rng.standard_normal(head.mean.shape))
 
     def backward_from_head(self, cache, raw_log_std, d_mean, d_log_std):
         """Backpropagate gradients on (mean, log_std) to the trunk parameters.

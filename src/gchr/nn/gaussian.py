@@ -103,14 +103,3 @@ def reparam_grads(head, noise, action):
     else:
         jac = np.ones_like(action)
     return jac, jac * head.std * noise
-
-
-def gaussian_sample(head, rng):
-    """Draw one reparameterized action; returns (action, log_prob).
-
-    The returned log_prob is computed by gaussian_log_prob on the returned
-    action, so the two agree exactly.
-    """
-    noise = rng.standard_normal(head.mean.shape)
-    action = reparam_action(head, noise)
-    return action, gaussian_log_prob(head, action)

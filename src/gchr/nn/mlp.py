@@ -63,14 +63,6 @@ class Mlp:
     def input_dim(self):
         return self.layer_sizes[0]
 
-    @property
-    def output_dim(self):
-        return self.layer_sizes[-1]
-
-    @property
-    def n_params(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def params(self):
         """Parameters as an ordered dict, keys w0, b0, w1, b1, ..."""
         out = {}

@@ -6,7 +6,7 @@ at or after that timestep (the future strategy) or with its final achieved
 goal. Rewards are always recomputed from the achieved goal of the
 transition's destination state against the sample's effective goal.
 
-Transitions are mirrored into flat arrays so minibatch sampling is fully
+Transitions live only in flat arrays, so minibatch sampling is fully
 vectorized; the arrays grow geometrically up to a cap of about 1.25x the
 transition capacity, and eviction is FIFO over whole trajectories once the
 transition capacity is exceeded. Each trajectory's deduplicated
@@ -57,54 +57,29 @@ class Trajectory:
     def horizon(self):
         return len(self.actions)
 
-    def check_phi(self, phi):
-        """Verify achieved_goals[i] == phi(states[i]) for a given goal map."""
-        for s, ag in zip(self.states, self.achieved_goals):
-            if not np.allclose(phi(s), ag, atol=1e-12):
-                raise ValueError("achieved goals inconsistent with the state-to-goal map")
-
 
 @dataclass
 class HerConfig:
     strategy: str = "future"
     relabel_ratio: float = 0.8
-    hindsight_goal_fraction: float = 1.0
 
     def __post_init__(self):
         if self.strategy not in HER_STRATEGIES:
             raise ValueError(f"strategy must be one of {HER_STRATEGIES}")
         if not 0.0 <= self.relabel_ratio <= 1.0:
             raise ValueError("relabel_ratio must lie in [0, 1]")
-        if not 0.0 < self.hindsight_goal_fraction <= 1.0:
-            raise ValueError("hindsight_goal_fraction must lie in (0, 1]")
-
-
-@dataclass
-class RelabeledSample:
-    state: np.ndarray
-    action: np.ndarray
-    next_state: np.ndarray
-    original_goal: np.ndarray
-    goal: np.ndarray  # effective goal: relabeled when is_relabeled, else original
-    reward: float
-    is_relabeled: bool
-    t: int
-    relabel_t: int  # index t' of the relabeling goal within the trajectory, -1 if none
-    trajectory: Trajectory
 
 
 class ReplayBatch:
-    """Array-of-struct view over a sampled minibatch.
+    """A sampled minibatch as parallel arrays; `relabel_t` is -1 where unrelabeled.
 
-    Hindsight goal sets travel as a padded (N, K_max, goal_dim) table with
-    per-element counts; padding slots hold no member of the set and are
-    never read. Callers may pass `goal_sets` as a list of (k_i, goal_dim)
-    arrays instead, which is packed into that table.
+    Hindsight goal sets travel as a padded (N, K_max, goal_dim) `goal_table`
+    with per-element `goal_counts`; padding slots hold no member of the set
+    and are never read.
     """
 
     def __init__(self, states, actions, next_states, original_goals, goals, rewards,
-                 is_relabeled, t, relabel_t, trajectories, goal_sets=None,
-                 goal_table=None, goal_counts=None):
+                 is_relabeled, t, relabel_t, goal_table, goal_counts):
         self.states = states
         self.actions = actions
         self.next_states = next_states
@@ -114,13 +89,6 @@ class ReplayBatch:
         self.is_relabeled = is_relabeled
         self.t = t
         self.relabel_t = relabel_t
-        self.trajectories = trajectories
-        if goal_table is None:
-            goal_counts = np.array([len(gs) for gs in goal_sets], dtype=np.int64)
-            goal_table = np.zeros((len(goal_sets), int(goal_counts.max(initial=0)),
-                                   np.shape(original_goals)[-1]))
-            for row, gs in zip(goal_table, goal_sets):
-                row[: len(gs)] = gs
         self.goal_table = goal_table
         self.goal_counts = goal_counts
 
@@ -132,23 +100,6 @@ class ReplayBatch:
     def __len__(self):
         return len(self.states)
 
-    def sample(self, i):
-        return RelabeledSample(
-            state=self.states[i],
-            action=self.actions[i],
-            next_state=self.next_states[i],
-            original_goal=self.original_goals[i],
-            goal=self.goals[i],
-            reward=float(self.rewards[i]),
-            is_relabeled=bool(self.is_relabeled[i]),
-            t=int(self.t[i]),
-            relabel_t=int(self.relabel_t[i]),
-            trajectory=self.trajectories[i],
-        )
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(len(self)))
-
     def relabeled_subset(self):
         """New batch containing only the relabeled samples."""
         idx = np.flatnonzero(self.is_relabeled)
@@ -156,7 +107,6 @@ class ReplayBatch:
             self.states[idx], self.actions[idx], self.next_states[idx],
             self.original_goals[idx], self.goals[idx], self.rewards[idx],
             self.is_relabeled[idx], self.t[idx], self.relabel_t[idx],
-            [self.trajectories[i] for i in idx],
             goal_table=self.goal_table[idx], goal_counts=self.goal_counts[idx],
         )
 
@@ -182,28 +132,6 @@ def first_visit_rows(goals, dedup_tol=0.0):
         i = int(np.argmax(remaining))
         if not remaining[i]:
             return np.array(kept, dtype=np.int64)
-
-
-def hindsight_goal_set(trajectory, dedup_tol=0.0):
-    """Achieved goals of every timestep, deduplicated, first-visit order.
-
-    Two goals are duplicates when their distance is <= dedup_tol (0 keeps
-    only exact repeats out).
-    """
-    return trajectory.achieved_goals[first_visit_rows(trajectory.achieved_goals, dedup_tol)]
-
-
-def sample_hindsight_goals(trajectory, k, rng, dedup_tol=0.0, goal_set=None):
-    """Draw k goals uniformly from the trajectory's hindsight goal set.
-
-    Without replacement when k <= |set|, with replacement otherwise.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    goals = goal_set if goal_set is not None else hindsight_goal_set(trajectory, dedup_tol)
-    n = len(goals)
-    idx = rng.choice(n, size=k, replace=k > n)
-    return goals[idx]
 
 
 class HerBuffer:
@@ -232,7 +160,6 @@ class HerBuffer:
         self.goal_dedup_tol = (
             self.success_tolerance / 10.0 if goal_dedup_tol is None else float(goal_dedup_tol)
         )
-        self._trajectories: list[Trajectory] = []  # live trajectories, slot order
         self._n_transitions = 0
         self._n_stored = 0  # transitions ever stored, evicted ones included
         self._fill = 0  # rows used in the flat arrays (T+1 per trajectory)
@@ -250,19 +177,13 @@ class HerBuffer:
 
     # -- storage ------------------------------------------------------------
 
-    def __len__(self):
-        return self._n_transitions
-
     @property
     def n_transitions(self):
         return self._n_transitions
 
     @property
     def n_trajectories(self):
-        return len(self._trajectories)
-
-    def trajectories(self):
-        return list(self._trajectories)
+        return self._tail - self._head
 
     def _ensure_alloc(self, extra_rows):
         """Make room for `extra_rows` more flat rows: double the arrays up to
@@ -288,7 +209,7 @@ class HerBuffer:
             setattr(self, name, grown)
 
     def _compact(self):
-        shift = self._bases[self._head] if self._trajectories else self._fill
+        shift = self._bases[self._head] if self._tail > self._head else self._fill
         keep = self._fill - shift
         for arr in (self._states, self._actions, self._achieved):
             arr[:keep] = arr[shift : self._fill]
@@ -324,8 +245,7 @@ class HerBuffer:
         if horizon < 1:
             raise ValueError("trajectory must contain at least one transition")
         # FIFO eviction before inserting so capacity bounds the stored count
-        while self._trajectories and self._n_transitions + horizon > self.capacity:
-            self._trajectories.pop(0)
+        while self._tail > self._head and self._n_transitions + horizon > self.capacity:
             self._n_transitions -= int(self._lengths[self._head])
             self._head += 1
         rows = horizon + 1
@@ -347,7 +267,6 @@ class HerBuffer:
         self._desired[slot] = trajectory.desired_goal
         self._goal_rows[slot, : len(goal_rows)] = goal_rows
         self._tail += 1
-        self._trajectories.append(trajectory)
         self._n_transitions += horizon
 
     # -- sampling -----------------------------------------------------------
@@ -362,9 +281,8 @@ class HerBuffer:
         flat_idx = rng.integers(0, self._n_transitions, size=batch_size)
         # the running end counts include evicted transitions: skip past them
         stored_idx = flat_idx + (self._n_stored - self._n_transitions)
-        traj_idx = np.searchsorted(self._ends[self._head : self._tail], stored_idx,
-                                   side="right")
-        slots = self._head + traj_idx
+        slots = self._head + np.searchsorted(self._ends[self._head : self._tail], stored_idx,
+                                             side="right")
         lengths = self._lengths[slots]
         t = stored_idx - (self._ends[slots] - lengths)
         bases = self._bases[slots]
@@ -403,7 +321,6 @@ class HerBuffer:
             is_relabeled=relabel,
             t=t,
             relabel_t=relabel_t,
-            trajectories=[self._trajectories[i] for i in traj_idx],
             goal_table=goal_table,
             goal_counts=goal_counts,
         )

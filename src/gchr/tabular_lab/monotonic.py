@@ -61,7 +61,9 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
     per_sweep = []
     prev = None
     for _ in range(max(1, n_iterations)):
-        v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy)
+        # one exact solve per goal serves both the improvement and the via values
+        improved, values = policy_iteration_step(mdp, policy)
+        v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, values)
         weighted = v_via @ goal_weights
         if prev is not None:
             both_defined = prev["defined"] & defined
@@ -89,7 +91,7 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
             "defined": defined,
             "weighted": weighted,
         }
-        policy, _ = policy_iteration_step(mdp, policy)
+        policy = improved
 
     if not per_sweep:  # single evaluation: trivially monotone
         mins = {k: 0.0 for k in mins}

@@ -12,6 +12,8 @@ phi == g mask, and retires each goal when its own update falls to tol.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,16 +51,27 @@ class EvaluationNotConverged(RuntimeError):
         self.goals = goals
 
 
-def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=200_000):
+def sweep_cap(gamma, tol):
+    """Twice the sweeps after which a gamma-contraction shrinks the first
+    update (at most 1, from Q = 0) to tol: 2 * (1 + ceil(ln tol / ln gamma)),
+    with the ratio's limit of 1 at gamma = 0."""
+    contraction = math.ceil(math.log(tol) / math.log(gamma)) if gamma > 0.0 else 1
+    return 2 * (1 + max(0, contraction))
+
+
+def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=None):
     """Fixed-point iteration of the Bellman expectation backup on Q, all goals at once.
 
     Independent of the direct solve. Returns q (S, A, G) and v (S, G). Each
     goal iterates until its own sup-norm update falls to tol (final error is
     at most tol * gamma / (1 - gamma)), so it runs the sweeps it would run
-    alone; goals still moving after max_iters raise EvaluationNotConverged.
+    alone; goals still moving after max_iters (by default sweep_cap(gamma,
+    tol)) raise EvaluationNotConverged.
     """
     if not mdp.absorbing_goals:
         raise ValueError("evaluation requires the goal-absorbing formulation")
+    if max_iters is None:
+        max_iters = sweep_cap(mdp.gamma, tol)
     n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals
     # Q is stored goal-major: one (S, A) block per active goal
     active = np.arange(n_goals)

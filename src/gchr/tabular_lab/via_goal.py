@@ -36,8 +36,9 @@ def via_goal_value(mdp, policy, s, goal, subgoal, table=None, values=None):
     return p_hit * downstream if defined else 0.0
 
 
-def via_goal_tensor(mdp, policy):
-    """All via-goal values at once.
+def via_goal_tensor(mdp, policy, values):
+    """All via-goal values at once, from the policy's exact per-goal values
+    `values` (S, G) as policy_iteration_step returns them.
 
     Returns (v_via, p_hit, downstream, defined):
         v_via      (S, G, G') compositional values (0 where undefined)
@@ -47,9 +48,6 @@ def via_goal_tensor(mdp, policy):
     """
     n_goals = policy.n_goals
     n_states = mdp.n_states
-    values = np.empty((n_states, n_goals))
-    for g in range(n_goals):
-        _, values[:, g] = policy_evaluation_direct(mdp, policy, g)
     p_hit = np.empty((n_states, n_goals))
     defined = np.empty((n_states, n_goals), dtype=bool)
     downstream = np.zeros((n_states, n_goals, n_goals))

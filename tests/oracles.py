@@ -6,6 +6,8 @@ and Monte-Carlo rollouts, so the tests check the implementation against a
 second route rather than against itself.
 """
 
+import math
+
 import numpy as np
 
 
@@ -40,6 +42,34 @@ def scalar_first_visit_rows(goals, dedup_tol=0.0):
         if all(np.linalg.norm(g - goals[k]) > dedup_tol for k in kept):
             kept.append(i)
     return np.array(kept, dtype=np.int64)
+
+
+def source_trajectories(trajectories, batch):
+    """For each sample of a replay batch, the index in `trajectories` of the
+    one trajectory whose step t holds the sample's state and action. The
+    lookup runs over the caller's own record of what it stored, not over
+    the buffer's bookkeeping; a sample that matches no step raises KeyError."""
+    steps = {}
+    for i, traj in enumerate(trajectories):
+        for t in range(traj.horizon):
+            key = (t, traj.states[t].tobytes(), traj.actions[t].tobytes())
+            if key in steps:
+                raise ValueError(f"step {t} of trajectories {steps[key]} and {i} coincide")
+            steps[key] = i
+    return np.array([steps[(int(t), s.tobytes(), a.tobytes())]
+                     for t, s, a in zip(batch.t, batch.states, batch.actions)], dtype=np.int64)
+
+
+def mixture_log_prob(prior_net, state, goals, action):
+    """Exact log-density of `action` under the equal-weight mixture of
+    prior_net's conditionals at `state`, one component per goal: the
+    reference for the hindsight priors. Each component is evaluated on its
+    own and the mixture is a scalar logsumexp minus log K."""
+    from gchr.nn import gaussian_log_prob
+
+    logps = [float(gaussian_log_prob(prior_net.head(state, g), action)) for g in goals]
+    peak = max(logps)
+    return peak + math.log(sum(math.exp(lp - peak) for lp in logps)) - math.log(len(logps))
 
 
 def per_rollout_eval(actor, env, n, seed_or_rng):

@@ -5,10 +5,19 @@ from gchr.nn import (
     LOG_STD_MIN,
     DiagGaussianHead,
     gaussian_log_prob,
+    PolicyNet,
     gaussian_log_prob_grads,
-    gaussian_sample,
     reparam_action,
 )
+
+
+def constant_policy(mean, log_std, squash=True):
+    """A policy on 1-D states and goals whose head is (mean, log_std) everywhere."""
+    mean = np.asarray(mean, dtype=np.float64)
+    policy = PolicyNet(1, 1, len(mean), hidden_sizes=(), squash=squash, rng=0)
+    policy.set_params({"w0": np.zeros((2, 2 * len(mean))),
+                       "b0": np.concatenate([mean, np.broadcast_to(log_std, mean.shape)])})
+    return policy
 
 
 def test_standard_normal_at_mode():
@@ -46,25 +55,44 @@ def test_log_std_clamped_on_construction():
 
 
 def test_tight_std_limit_action_is_tanh_mean(rng):
-    head = DiagGaussianHead(mean=np.array([0.9, -1.4]), log_std=np.full(2, -40.0))
-    action, _ = gaussian_sample(head, rng)
-    np.testing.assert_allclose(action, np.tanh(head.mean), atol=1e-3)
+    policy = constant_policy([0.9, -1.4], -40.0)
+    action = policy.sample(np.zeros(1), np.zeros(1), rng)
+    np.testing.assert_allclose(action, np.tanh([0.9, -1.4]), atol=1e-3)
 
 
 def test_identical_seeds_give_identical_actions():
-    head = DiagGaussianHead(mean=np.array([0.1, 0.2]), log_std=np.zeros(2))
-    a1, lp1 = gaussian_sample(head, np.random.default_rng(42))
-    a2, lp2 = gaussian_sample(head, np.random.default_rng(42))
+    policy = constant_policy([0.1, 0.2], 0.0)
+    states, goals = np.zeros((3, 1)), np.ones((3, 1))
+    a1 = policy.sample(states, goals, np.random.default_rng(42))
+    a2 = policy.sample(states, goals, np.random.default_rng(42))
     np.testing.assert_array_equal(a1, a2)
-    assert lp1 == lp2
+    # one standard-normal draw of the head's shape, and nothing else, per call
+    reference = np.random.default_rng(42)
+    head = policy.head(states, goals)
+    np.testing.assert_array_equal(a1, reparam_action(head, reference.standard_normal((3, 2))))
+    used = np.random.default_rng(42)
+    policy.sample(states, goals, used)
+    assert used.bit_generator.state == reference.bit_generator.state
 
 
 def test_sample_log_prob_consistent_with_density():
-    head = DiagGaussianHead(mean=np.array([0.4, -0.6, 0.0]), log_std=np.log([0.5, 1.0, 2.0]))
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        action, logp = gaussian_sample(head, rng)
-        assert abs(logp - gaussian_log_prob(head, action)) <= 1e-9
+    # draws of the squashed policy, histogrammed, against bin masses of
+    # exp(gaussian_log_prob) integrated by the midpoint rule
+    policy = constant_policy([0.4], np.log(0.7))
+    n = 20_000
+    draws = policy.sample(np.zeros((n, 1)), np.zeros((n, 1)), np.random.default_rng(7))[:, 0]
+    assert np.all(np.abs(draws) < 1.0)
+    head = policy.head(np.zeros(1), np.zeros(1))
+    edges = np.linspace(-1.0, 1.0, 21)
+    counts, _ = np.histogram(draws, bins=edges)
+    width = (edges[1] - edges[0]) / 200
+    points = (edges[:-1, None] + width * (np.arange(200) + 0.5)).reshape(-1, 1)
+    density = np.exp(gaussian_log_prob(head, points)).reshape(20, 200)
+    expected = n * density.sum(axis=1) * width
+    assert expected.sum() == pytest.approx(n, rel=1e-3)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(counts) - 1
+    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
 
 
 def test_empirical_mean_of_unsquashed_samples():

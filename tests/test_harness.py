@@ -17,6 +17,7 @@ from gchr.harness import (
     write_config,
 )
 from gchr.harness.cli import main
+from gchr.harness.config import _SECTIONS as config_sections
 from gchr.nn.actor_critic import PolicyNet
 from gchr.tabular_lab import policy_evaluation_iterative
 
@@ -113,6 +114,71 @@ def test_train_set_overrides_share_the_eval_parser(tmp_path):
     for bad in (["env.horizon"], ["horizon=3"], ["env.bogus=1"], ["env.horizon=x"]):
         with pytest.raises(ConfigError):
             default_config(bad)
+
+
+# one non-default value for every INI key
+EVERY_KEY = {
+    "env": {"name": "block_push", "horizon": "7", "success_tolerance": "0.07",
+            "reward_convention": "neg_one_zero", "action_noise_std": "0.05"},
+    "her": {"strategy": "final", "relabel_ratio": "0.6"},
+    "agent": {"alpha": "0.5", "beta": "0.3", "gamma": "0.95", "polyak": "0.9",
+              "batch_size": "64", "updates_per_cycle": "3", "hindsight_goals": "5",
+              "hindsight_goal_fraction": "0.5", "prior_source": "delayed_copy",
+              "tau_delay": "7", "entropy_coeff": "0.01", "prior_mc_samples": "2",
+              "learning_rate": "0.0005", "hidden_sizes": "8 8 8", "activation": "tanh"},
+    "run": {"seeds": "3 4", "epochs": "2", "cycles_per_epoch": "4",
+            "episodes_per_cycle": "3", "eval_rollouts": "7", "warmup_steps": "10",
+            "random_action_prob": "0.1", "exploration_noise": "0.3",
+            "output_dir": "out/x", "dump_trajectories": "true"},
+}
+
+
+def config_value(cfg, section, key):
+    if section == "env":
+        return cfg.env_name if key == "name" else getattr(cfg, key)
+    if section in ("her", "agent"):
+        return getattr(getattr(cfg, section), key)
+    return getattr(cfg, key)
+
+
+def test_every_config_key_survives_write_and_load(tmp_path):
+    assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
+        s: set(keys) for s, keys in config_sections.items()}
+    overrides = [f"{s}.{k}={v}" for s, keys in EVERY_KEY.items() for k, v in keys.items()]
+    cfg = default_config(overrides)
+    defaults = default_config()
+    for section, keys in EVERY_KEY.items():
+        for key in keys:
+            assert config_value(cfg, section, key) != config_value(defaults, section, key), key
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    assert load_config(path) == cfg
+    text = path.read_text()
+    assert "hindsight_goal_fraction = 0.5" in text.split("[agent]")[1].split("[run]")[0]
+
+
+def test_her_hindsight_goal_fraction_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "old.ini"
+    path.write_text("[her]\nhindsight_goal_fraction = 0.5\n")
+    assert main(["train", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+    assert "unknown key 'hindsight_goal_fraction' in section [her]" in capsys.readouterr().err
+    assert main(["train", "--set", "her.hindsight_goal_fraction=0.5",
+                 "--output", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_k_fraction_sweep_cell_sets_the_agent_key(tmp_path):
+    tiny = TINY_REACH + ["run.seeds=1", "run.epochs=1"]
+    argv = ["sweep", "--axis", "K_fraction", "--values", "0.5", "--output", str(tmp_path / "sw")]
+    for item in tiny:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    cell = tmp_path / "sw" / "K_fraction_0.5"
+    assert load_config(cell / "config.ini").agent.hindsight_goal_fraction == 0.5
+    # the cell trained exactly as a run with the agent key set directly
+    train_seed(default_config(tiny + ["agent.hindsight_goal_fraction=0.5"]), 1, tmp_path / "ref")
+    assert ((cell / "seed_1" / "metrics.csv").read_bytes()
+            == (tmp_path / "ref" / "metrics.csv").read_bytes())
 
 
 CHAIN3 = Path(__file__).resolve().parent.parent / "assets" / "chain3.mdp"

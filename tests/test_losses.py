@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,7 @@ from gchr.agent import (
     BatchedHgrPriors,
     GchrAgent,
     GchrConfig,
-    MixturePrior,
     actor_loss,
-    build_hgr_prior,
     build_hgr_priors_batch,
     critic_loss,
     hgr_loss,
@@ -18,7 +18,7 @@ from gchr.agent import (
 from gchr.nn import Mlp, PolicyNet, gaussian_log_prob
 from gchr.replay import HerBuffer, HerConfig, ReplayBatch, Trajectory
 
-from oracles import finite_difference_grads, max_relative_grad_error
+from oracles import finite_difference_grads, max_relative_grad_error, mixture_log_prob
 
 STATE_DIM, GOAL_DIM, ACTION_DIM = 3, 2, 2
 
@@ -33,7 +33,17 @@ def make_nets(cfg, seed=0):
     return AgentNets.create(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=seed)
 
 
-def make_batch(rng, n=8, relabeled="mixed"):
+def replay_batch(goal_sets, **arrays):
+    """A ReplayBatch with per-element goal sets packed into the padded goal
+    table the buffer hands out."""
+    counts = np.array([len(gs) for gs in goal_sets], dtype=np.int64)
+    table = np.zeros((len(goal_sets), int(counts.max()), np.shape(goal_sets[0])[-1]))
+    for row, goal_set in zip(table, goal_sets):
+        row[: len(goal_set)] = goal_set
+    return ReplayBatch(goal_table=table, goal_counts=counts, **arrays)
+
+
+def make_batch(rng, n=8, relabeled="mixed", goal_sets=None):
     states = rng.normal(size=(n, STATE_DIM))
     actions = rng.uniform(-0.9, 0.9, size=(n, ACTION_DIM))
     next_states = states + 0.1 * rng.normal(size=(n, STATE_DIM))
@@ -47,13 +57,13 @@ def make_batch(rng, n=8, relabeled="mixed"):
         flags = rng.random(n) < 0.5
     goals[flags] += 0.3 * rng.normal(size=(int(flags.sum()), GOAL_DIM))
     rewards = (rng.random(n) < 0.2).astype(np.float64)
-    goal_sets = [rng.normal(size=(int(rng.integers(1, 5)), GOAL_DIM)) for _ in range(n)]
-    return ReplayBatch(
+    if goal_sets is None:
+        goal_sets = [rng.normal(size=(int(rng.integers(1, 5)), GOAL_DIM)) for _ in range(n)]
+    return replay_batch(
         states=states, actions=actions, next_states=next_states,
         original_goals=original, goals=goals, rewards=rewards,
         is_relabeled=flags, t=np.zeros(n, dtype=int),
-        relabel_t=np.where(flags, 1, -1), trajectories=[None] * n,
-        goal_sets=goal_sets,
+        relabel_t=np.where(flags, 1, -1), goal_sets=goal_sets,
     )
 
 
@@ -136,11 +146,11 @@ def test_critic_converges_to_td_fixed_point(rng):
         zeroed = {k: np.zeros_like(v) for k, v in params.items()}
         net.set_params(zeroed)
     a = nets.target_actor.mean_action(s, g)  # tanh(0) = 0
-    batch = ReplayBatch(
+    batch = replay_batch(
         states=s, actions=a, next_states=s, original_goals=g, goals=g,
         rewards=np.array([0.8]), is_relabeled=np.array([False]),
         t=np.zeros(1, dtype=int), relabel_t=np.array([-1]),
-        trajectories=[None], goal_sets=[g],
+        goal_sets=[g],
     )
     opt = AdamState(learning_rate=3e-3)
     for step in range(1, 20001):
@@ -185,9 +195,9 @@ def test_hsr_loss_decreases_as_std_tightens():
         original_goals=np.zeros((1, 1)), goals=np.zeros((1, 1)),
         rewards=np.zeros(1), is_relabeled=np.array([True]),
         t=np.zeros(1, dtype=int), relabel_t=np.array([0]),
-        trajectories=[None], goal_sets=[np.zeros((1, 1))],
+        goal_sets=[np.zeros((1, 1))],
     )
-    batch = ReplayBatch(**batch_kwargs)
+    batch = replay_batch(**batch_kwargs)
     losses = []
     for log_std in (0.5, 0.0, -1.0, -3.0, -5.0):
         actor.set_params({
@@ -204,12 +214,12 @@ def test_hsr_gradient_closed_form_unsquashed_gaussian(rng):
     mean_bias, log_std_bias = 0.3, -0.2
     actor.set_params({"w0": np.zeros((2, 2)), "b0": np.array([mean_bias, log_std_bias])})
     actions = rng.uniform(-1, 1, size=(16, 1))
-    batch = ReplayBatch(
+    batch = replay_batch(
         states=np.zeros((16, 1)), actions=actions, next_states=np.zeros((16, 1)),
         original_goals=np.zeros((16, 1)), goals=np.zeros((16, 1)),
         rewards=np.zeros(16), is_relabeled=np.ones(16, dtype=bool),
         t=np.zeros(16, dtype=int), relabel_t=np.zeros(16, dtype=int),
-        trajectories=[None] * 16, goal_sets=[np.zeros((1, 1))] * 16,
+        goal_sets=[np.zeros((1, 1))] * 16,
     )
     _, grads = hsr_loss(batch, actor)
     sigma2 = np.exp(2 * log_std_bias)
@@ -238,57 +248,96 @@ def test_hsr_gradients_match_finite_differences_squashed(rng):
 # -- hindsight prior ----------------------------------------------------------
 
 
+def element_log_prob(priors, i, action):
+    """Exact mixture log-density of element i's prior, by the oracle."""
+    k = int(priors.counts[i])
+    return mixture_log_prob(priors.prior_net, priors.states[i], priors.padded_goals[i, :k],
+                            action)
+
+
 def test_prior_with_one_component_equals_single_conditional(rng):
-    nets = make_nets(small_cfg())
-    state = rng.normal(size=STATE_DIM)
+    cfg = small_cfg()
+    nets = make_nets(cfg)
     goal = rng.normal(size=GOAL_DIM)
-    prior = MixturePrior(state, goal[None, :], nets.target_actor)
+    batch = make_batch(rng, n=1, goal_sets=[goal[None, :]])
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
     action = np.array([0.3, -0.5])
-    head = nets.target_actor.head(state, goal)
-    assert prior.log_prob(action) == pytest.approx(float(gaussian_log_prob(head, action)))
+    head = nets.target_actor.head(batch.states[0], goal)
+    assert element_log_prob(priors, 0, action) == pytest.approx(
+        float(gaussian_log_prob(head, action)))
 
 
 def test_prior_identical_components_collapse(rng):
-    nets = make_nets(small_cfg())
-    state = rng.normal(size=STATE_DIM)
+    cfg = small_cfg()
+    nets = make_nets(cfg)
     goal = rng.normal(size=GOAL_DIM)
-    stacked = np.repeat(goal[None, :], 5, axis=0)
-    prior = MixturePrior(state, stacked, nets.target_actor)
-    head = nets.target_actor.head(state, goal)
+    batch = make_batch(rng, n=1, goal_sets=[np.repeat(goal[None, :], 5, axis=0)])
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    assert priors.counts[0] == 5
+    head = nets.target_actor.head(batch.states[0], goal)
     for _ in range(10):
         action = rng.uniform(-0.9, 0.9, size=ACTION_DIM)
-        assert prior.log_prob(action) == pytest.approx(
+        assert element_log_prob(priors, 0, action) == pytest.approx(
             float(gaussian_log_prob(head, action)), abs=1e-12
         )
 
 
 def test_prior_log_density_is_logsumexp_of_components(rng):
-    # scalar oracle: per-component densities summed in plain Python
-    import math
-
-    nets = make_nets(small_cfg())
-    state = rng.normal(size=STATE_DIM)
-    goals = rng.normal(size=(4, GOAL_DIM))
-    prior = MixturePrior(state, goals, nets.target_actor)
+    # per-component densities of the batch's own goal set, summed in plain Python
+    cfg = small_cfg()
+    nets = make_nets(cfg)
+    batch = make_batch(rng, n=1, goal_sets=[rng.normal(size=(4, GOAL_DIM))])
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    state = batch.states[0]
     for _ in range(20):
         action = rng.uniform(-0.9, 0.9, size=ACTION_DIM)
         comps = [
-            float(gaussian_log_prob(nets.target_actor.head(state, g), action)) for g in goals
+            float(gaussian_log_prob(nets.target_actor.head(state, g), action))
+            for g in batch.goal_sets[0]
         ]
         expected = math.log(sum(math.exp(c) for c in comps) / 4.0)
-        assert abs(prior.log_prob(action) - expected) <= 1e-12
+        assert abs(element_log_prob(priors, 0, action) - expected) <= 1e-12
 
 
-def test_build_hgr_prior_uses_trajectory_goal_set(rng):
+def test_prior_samples_follow_the_exact_mixture_density():
+    # 1-D unsquashed prior whose mean is its goal: three separated components
+    prior_net = PolicyNet(1, 1, 1, hidden_sizes=(), squash=False, rng=0)
+    prior_net.set_params({"w0": np.array([[0.0, 0.0], [1.0, 0.0]]),
+                          "b0": np.array([0.0, np.log(0.5)])})
+    goals = np.array([[-2.0], [0.5], [3.0]])
+    priors = BatchedHgrPriors(np.zeros((1, 1)), goals[None], np.array([3]), prior_net)
+    n = 20_000
+    draws = priors.sample_actions(n, np.random.default_rng(3))[0, :, 0]
+    edges = np.linspace(-4.0, 5.0, 19)
+    counts, _ = np.histogram(draws, bins=edges)
+    # bin probabilities by midpoint quadrature of the oracle density
+    width = (edges[1] - edges[0]) / 50
+    probs = np.array([
+        sum(math.exp(element_log_prob(priors, 0, np.array([x])))
+            for x in lo + width * (np.arange(50) + 0.5)) * width
+        for lo in edges[:-1]
+    ])
+    assert probs.sum() == pytest.approx(1.0, abs=1e-3)
+    expected = n * probs
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(counts) - 1
+    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
+
+
+def test_batched_priors_use_the_trajectory_goal_set(rng):
     cfg = small_cfg()
     nets = make_nets(cfg)
     states = np.cumsum(rng.normal(size=(7, STATE_DIM)), axis=0)
     traj = Trajectory(states, rng.uniform(-1, 1, (6, ACTION_DIM)),
                       states[:, :GOAL_DIM].copy(), rng.normal(size=GOAL_DIM))
-    prior = build_hgr_prior(states[2], traj.desired_goal, traj, nets, cfg, rng)
-    achieved = {tuple(g) for g in traj.achieved_goals}
-    assert prior.n_components == 7  # fraction 1.0 keeps the full set
-    assert all(tuple(g) in achieved for g in prior.goals)
+    buf = HerBuffer(STATE_DIM, ACTION_DIM, GOAL_DIM, success_tolerance=0.05)
+    buf.store_trajectory(traj)
+    batch = buf.sample_batch(16, HerConfig(), rng)
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    assert priors.prior_net is nets.target_actor
+    np.testing.assert_array_equal(priors.counts, 7)  # fraction 1.0 keeps the full set
+    for goals in priors.padded_goals:
+        np.testing.assert_array_equal(goals, traj.achieved_goals)
 
 
 def test_batched_priors_match_per_element(rng):
@@ -296,10 +345,53 @@ def test_batched_priors_match_per_element(rng):
     nets = make_nets(cfg)
     batch = make_batch(rng, n=5)
     priors = build_hgr_priors_batch(batch, nets, cfg, rng)
-    for i in range(5):
-        element = priors.element(i)
-        assert element.n_components == len(batch.goal_sets[i])
-        np.testing.assert_array_equal(element.goals, batch.goal_sets[i])
+    np.testing.assert_array_equal(priors.states, batch.states)
+    np.testing.assert_array_equal(priors.counts, batch.goal_counts)
+    for i, goal_set in enumerate(batch.goal_sets):
+        np.testing.assert_array_equal(priors.padded_goals[i, : priors.counts[i]], goal_set)
+
+
+def test_prior_goals_at_k_equal_to_the_set_size_are_the_whole_set(rng):
+    nets = make_nets(small_cfg())
+    sizes = (4, 2, 4, 7)
+    batch = make_batch(rng, n=4, goal_sets=[rng.normal(size=(k, GOAL_DIM)) for k in sizes])
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=4), rng)
+    np.testing.assert_array_equal(priors.counts, 4)
+    members = [{tuple(g) for g in goal_set} for goal_set in batch.goal_sets]
+    drawn = [[tuple(g) for g in goals] for goals in priors.padded_goals]
+    for i in (0, 2):  # K = |set|: the whole set, in first-visit order
+        np.testing.assert_array_equal(priors.padded_goals[i], batch.goal_sets[i])
+    assert set(drawn[1]) <= members[1]  # K > |set|: drawn with replacement
+    assert len(set(drawn[3])) == 4 and set(drawn[3]) <= members[3]  # K < |set|: distinct
+    # with every K equal to its set size the batch's own table is used
+    whole = build_hgr_priors_batch(batch, nets, small_cfg(), rng)
+    assert whole.padded_goals is batch.goal_table
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_prior_goals_from_a_singleton_set(rng, k):
+    nets = make_nets(small_cfg())
+    batch = make_batch(rng, n=1, goal_sets=[np.array([[0.25, -0.5]])])
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=k), rng)
+    np.testing.assert_array_equal(priors.padded_goals[0], np.tile([0.25, -0.5], (k, 1)))
+
+
+def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
+    nets = make_nets(small_cfg())
+    goal_set = rng.normal(size=(10, GOAL_DIM))
+    n = 10_000
+    batch = make_batch(rng, n=n, goal_sets=[goal_set] * n)
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=1), rng)
+    drawn = priors.padded_goals[:, 0]
+    member = np.argmin(np.linalg.norm(drawn[:, None] - goal_set[None], axis=2), axis=1)
+    np.testing.assert_array_equal(goal_set[member], drawn)
+    counts = np.bincount(member, minlength=len(goal_set))
+    expected = n / len(goal_set)
+    # chi-square against uniform: with n-1 dof the statistic stays well below
+    # the 3-sigma-ish bound dof + 3 * sqrt(2 dof)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(goal_set) - 1
+    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
 
 
 def test_batched_prior_sampling_shape_and_box(rng):
@@ -331,12 +423,12 @@ def unit_gaussian_actor(mean_bias, squash=False):
 
 
 def one_element_batch(goal_set):
-    return ReplayBatch(
+    return replay_batch(
         states=np.zeros((1, 1)), actions=np.zeros((1, 1)), next_states=np.zeros((1, 1)),
         original_goals=np.zeros((1, 1)), goals=np.zeros((1, 1)),
         rewards=np.zeros(1), is_relabeled=np.array([False]),
         t=np.zeros(1, dtype=int), relabel_t=np.array([-1]),
-        trajectories=[None], goal_sets=[goal_set],
+        goal_sets=[goal_set],
     )
 
 
@@ -548,13 +640,13 @@ def test_actor_loss_gradients_match_finite_differences(rng):
     n = 4
     local = np.random.default_rng(21)
     goal_sets = [local.normal(size=(2, 1)) for _ in range(n)]
-    batch = ReplayBatch(
+    batch = replay_batch(
         states=local.normal(size=(n, 2)), actions=local.uniform(-0.8, 0.8, (n, 2)),
         next_states=local.normal(size=(n, 2)), original_goals=local.normal(size=(n, 1)),
         goals=local.normal(size=(n, 1)), rewards=np.zeros(n),
         is_relabeled=np.array([True, True, False, False]),
         t=np.zeros(n, dtype=int), relabel_t=np.array([0, 0, -1, -1]),
-        trajectories=[None] * n, goal_sets=goal_sets,
+        goal_sets=goal_sets,
     )
     priors = build_hgr_priors_batch(batch, nets, cfg, local)
     noise = local.standard_normal((n, 2))
@@ -581,13 +673,12 @@ def test_actor_entropy_bonus_gradients_match_finite_differences(rng):
     nets = AgentNets.create(2, 1, 2, cfg, seed=5)
     local = np.random.default_rng(31)
     n = 4
-    batch = ReplayBatch(
+    batch = replay_batch(
         states=local.normal(size=(n, 2)), actions=local.uniform(-0.8, 0.8, (n, 2)),
         next_states=local.normal(size=(n, 2)), original_goals=local.normal(size=(n, 1)),
         goals=local.normal(size=(n, 1)), rewards=np.zeros(n),
         is_relabeled=np.zeros(n, dtype=bool), t=np.zeros(n, dtype=int),
-        relabel_t=np.full(n, -1), trajectories=[None] * n,
-        goal_sets=[local.normal(size=(1, 1))] * n,
+        relabel_t=np.full(n, -1), goal_sets=[local.normal(size=(1, 1))] * n,
     )
     noise = local.standard_normal((n, 2))
     _, analytic, parts = actor_loss(batch, None, nets, cfg, local, noise=noise)

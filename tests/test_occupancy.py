@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from gchr.tabular_lab import (
     v_from_occupancy,
 )
 from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
-from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix
+from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix, sweep_cap
 
 from oracles import geometric_tail, per_goal_iterative_evaluation
 
@@ -263,3 +264,28 @@ def test_non_absorbing_formulation_rejected(rng):
     mdp = random_mdp(rng, 4, 2, 2, 0.9, absorbing_goals=False)
     with pytest.raises(ValueError, match="absorbing"):
         compute_occupancy(mdp, TabularPolicy.uniform(4, 2, 2), 0)
+
+
+def one_goal_state_mdp(gamma):
+    return TabularGCMDP(np.ones((1, 1, 1)), np.array([0]), gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+def test_default_sweep_cap_is_twice_the_contraction_bound(gamma):
+    # one absorbing goal state: its update after sweep k is exactly gamma^(k-1),
+    # so it retires after 1 + ceil(ln tol / ln gamma) sweeps
+    needed = 2 if gamma == 0.0 else 1 + math.ceil(math.log(1e-12) / math.log(gamma))
+    assert sweep_cap(gamma, 1e-12) == 2 * needed
+    policy = TabularPolicy.uniform(1, 1, 1)
+    policy_evaluation_iterative(one_goal_state_mdp(gamma), policy, max_iters=needed)
+    with pytest.raises(EvaluationNotConverged):
+        policy_evaluation_iterative(one_goal_state_mdp(gamma), policy, max_iters=needed - 1)
+
+
+def test_one_goal_mdp_converges_at_gamma_near_one():
+    # about 276,000 sweeps at gamma = 0.9999, past the fixed cap of 200,000
+    # the evaluation once had; the default cap is derived from gamma and tol
+    gamma = 0.9999
+    assert sweep_cap(gamma, 1e-12) > 2 * 276_000
+    _, v = policy_evaluation_iterative(one_goal_state_mdp(gamma), TabularPolicy.uniform(1, 1, 1))
+    assert v[0, 0] == pytest.approx(1.0 / (1.0 - gamma), rel=1e-11)

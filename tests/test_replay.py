@@ -7,11 +7,9 @@ from gchr.replay import (
     Trajectory,
     dump_trajectories_csv,
     first_visit_rows,
-    hindsight_goal_set,
-    sample_hindsight_goals,
 )
 
-from oracles import scalar_first_visit_rows
+from oracles import scalar_first_visit_rows, source_trajectories
 
 
 def make_trajectory(rng, horizon=10, state_dim=4, action_dim=2, goal_dim=2, walk_scale=0.1):
@@ -49,7 +47,8 @@ def test_capacity_one_trajectory_evicts_previous(rng):
     buf.store_trajectory(first)
     buf.store_trajectory(second)
     assert buf.n_trajectories == 1
-    assert buf.trajectories()[0] is second
+    batch = buf.sample_batch(64, HerConfig(relabel_ratio=0.0), rng)
+    np.testing.assert_array_equal(source_trajectories([first, second], batch), 1)
 
 
 def test_relabel_ratio_zero_returns_only_original_goals(rng):
@@ -62,34 +61,38 @@ def test_relabel_ratio_zero_returns_only_original_goals(rng):
 
 def test_future_relabels_draw_from_future_achieved_goals(rng):
     buf = make_buffer()
-    for _ in range(5):
-        buf.store_trajectory(make_trajectory(rng, horizon=12))
+    trajs = [make_trajectory(rng, horizon=12) for _ in range(5)]
+    for traj in trajs:
+        buf.store_trajectory(traj)
     batch = buf.sample_batch(512, HerConfig(relabel_ratio=1.0), rng)
     assert np.all(batch.is_relabeled)
-    for sample in batch:
-        assert sample.relabel_t >= sample.t
-        np.testing.assert_array_equal(
-            sample.goal, sample.trajectory.achieved_goals[sample.relabel_t]
-        )
+    assert np.all(batch.relabel_t >= batch.t)
+    for i, k in enumerate(source_trajectories(trajs, batch)):
+        np.testing.assert_array_equal(batch.goals[i], trajs[k].achieved_goals[batch.relabel_t[i]])
+        np.testing.assert_array_equal(batch.original_goals[i], trajs[k].desired_goal)
 
 
 def test_final_strategy_uses_terminal_goal(rng):
     buf = make_buffer()
-    buf.store_trajectory(make_trajectory(rng, horizon=9))
+    trajs = [make_trajectory(rng, horizon=h) for h in (9, 5)]
+    for traj in trajs:
+        buf.store_trajectory(traj)
     batch = buf.sample_batch(32, HerConfig(strategy="final", relabel_ratio=1.0), rng)
-    for sample in batch:
-        np.testing.assert_array_equal(sample.goal, sample.trajectory.achieved_goals[-1])
+    for i, k in enumerate(source_trajectories(trajs, batch)):
+        assert batch.relabel_t[i] == trajs[k].horizon
+        np.testing.assert_array_equal(batch.goals[i], trajs[k].achieved_goals[-1])
 
 
 def test_relabeled_reward_recomputed_from_next_achieved_goal(rng):
     buf = make_buffer(tol=0.05)
-    for _ in range(5):
-        buf.store_trajectory(make_trajectory(rng))
+    trajs = [make_trajectory(rng) for _ in range(5)]
+    for traj in trajs:
+        buf.store_trajectory(traj)
     batch = buf.sample_batch(256, HerConfig(relabel_ratio=0.7), rng)
-    for sample in batch:
-        achieved_next = sample.trajectory.achieved_goals[sample.t + 1]
-        expected = 1.0 if np.linalg.norm(achieved_next - sample.goal) <= 0.05 else 0.0
-        assert sample.reward == expected
+    for i, k in enumerate(source_trajectories(trajs, batch)):
+        achieved_next = trajs[k].achieved_goals[batch.t[i] + 1]
+        expected = 1.0 if np.linalg.norm(achieved_next - batch.goals[i]) <= 0.05 else 0.0
+        assert batch.rewards[i] == expected
 
 
 def test_sample_satisfying_goal_carries_reward_one(rng):
@@ -98,8 +101,8 @@ def test_sample_satisfying_goal_carries_reward_one(rng):
     # with the future strategy a relabel at t' = t+1 makes the next state satisfy
     # the goal exactly; over many draws such samples must exist and earn 1
     batch = buf.sample_batch(2000, HerConfig(relabel_ratio=1.0), rng)
-    exact = [s for s in batch if s.relabel_t == s.t + 1]
-    assert exact and all(s.reward == 1.0 for s in exact)
+    exact = batch.relabel_t == batch.t + 1
+    assert exact.any() and np.all(batch.rewards[exact] == 1.0)
 
 
 def test_relabeled_fraction_concentrates(rng):
@@ -117,7 +120,7 @@ def test_sampling_uniform_over_transitions(rng):
     buf.store_trajectory(t1)
     buf.store_trajectory(t2)
     batch = buf.sample_batch(40_000, HerConfig(relabel_ratio=0.0), rng)
-    frac_t2 = np.mean([s.trajectory is t2 for s in batch])
+    frac_t2 = np.mean(source_trajectories([t1, t2], batch) == 1)
     # 15 of 20 transitions live in t2; binomial 5 sigma ~ 0.011
     assert abs(frac_t2 - 0.75) <= 0.015
 
@@ -138,42 +141,54 @@ def test_eviction_keeps_flat_arrays_consistent(rng):
     trajs = [make_trajectory(rng, horizon=10) for _ in range(30)]
     for t in trajs:
         buf.store_trajectory(t)
-    assert buf.n_transitions <= 60
+    assert buf.n_transitions == 60 and buf.n_trajectories == 6
+    live = trajs[-6:]
     batch = buf.sample_batch(200, HerConfig(relabel_ratio=0.5), rng)
-    for sample in batch:
-        np.testing.assert_array_equal(sample.state, sample.trajectory.states[sample.t])
-        np.testing.assert_array_equal(sample.next_state, sample.trajectory.states[sample.t + 1])
-        np.testing.assert_array_equal(sample.action, sample.trajectory.actions[sample.t])
+    # a sample from an evicted trajectory has no key among the live ones
+    source = source_trajectories(live, batch)
+    assert set(source) == set(range(6))
+    for i, k in enumerate(source):
+        np.testing.assert_array_equal(batch.next_states[i], live[k].states[batch.t[i] + 1])
+
+
+def stored_goal_sets(traj, tol, n=8):
+    """The goal sets of a batch sampled from a buffer holding only `traj`."""
+    buf = make_buffer(tol=tol)
+    buf.store_trajectory(traj)
+    return buf.sample_batch(n, HerConfig(), np.random.default_rng(0)).goal_sets
 
 
 def test_hindsight_goal_set_stationary_trajectory():
     states = np.zeros((6, 4))
     traj = Trajectory(states, np.zeros((5, 2)), np.zeros((6, 2)), np.zeros(2))
-    assert len(hindsight_goal_set(traj, dedup_tol=0.005)) == 1
+    for goal_set in stored_goal_sets(traj, tol=0.05):  # dedup tolerance 0.005
+        np.testing.assert_array_equal(goal_set, [[0.0, 0.0]])
 
 
 def test_hindsight_goal_set_all_distinct(rng):
     traj = make_trajectory(rng, horizon=12, walk_scale=1.0)
-    assert len(hindsight_goal_set(traj, dedup_tol=1e-6)) == 13
+    assert len(first_visit_rows(traj.achieved_goals, 1e-6)) == 13
+    for goal_set in stored_goal_sets(traj, tol=1e-5):  # dedup tolerance 1e-6
+        np.testing.assert_array_equal(goal_set, traj.achieved_goals)
 
 
 def test_hindsight_goal_set_dedup_preserves_first_visit_order():
     # visits cells A, B, A, C
     a, b, c = [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]
     achieved = np.array([a, b, a, c])
+    np.testing.assert_array_equal(first_visit_rows(achieved, 0.01), [0, 1, 3])
     states = np.hstack([achieved, np.zeros((4, 2))])
     traj = Trajectory(states, np.zeros((3, 2)), achieved, np.zeros(2))
-    goals = hindsight_goal_set(traj, dedup_tol=0.01)
-    np.testing.assert_array_equal(goals, [a, b, c])
+    for goal_set in stored_goal_sets(traj, tol=0.1):  # dedup tolerance 0.01
+        np.testing.assert_array_equal(goal_set, [a, b, c])
 
 
 def test_goal_set_independent_of_actions(rng):
     traj = make_trajectory(rng, horizon=10)
     other = Trajectory(traj.states, rng.uniform(-1, 1, traj.actions.shape),
                        traj.achieved_goals, traj.desired_goal)
-    np.testing.assert_array_equal(
-        hindsight_goal_set(traj, 0.005), hindsight_goal_set(other, 0.005)
-    )
+    for ours, theirs in zip(stored_goal_sets(traj, 0.05), stored_goal_sets(other, 0.05)):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def near_tolerance_goals(rng, n, dim, tol):
@@ -236,18 +251,22 @@ def test_goal_table_survives_eviction_and_compaction(rng, monkeypatch):
                         lambda self: compactions.append(1) or compact(self))
     buf = make_buffer(capacity=60, tol=0.5)  # dedup tolerance 0.05
     her = HerConfig(relabel_ratio=0.5)
+    stored = []
     for i in range(300):
         # horizons and walk scales vary so goal sets range from one goal to
         # the whole trajectory and the padded table has to widen
         walk = [0.0, 0.01, 0.05, 1.0][i % 4]
-        buf.store_trajectory(make_trajectory(rng, horizon=int(rng.integers(3, 16)),
-                                             walk_scale=walk))
+        stored.append(make_trajectory(rng, horizon=int(rng.integers(3, 16)), walk_scale=walk))
+        buf.store_trajectory(stored[-1])
         if i % 25 == 24:
+            live = stored[-buf.n_trajectories:]
             batch = buf.sample_batch(64, her, rng)
-            for k, (sample, goal_set) in enumerate(zip(batch, batch.goal_sets)):
-                expected = hindsight_goal_set(sample.trajectory, buf.goal_dedup_tol)
+            for j, (k, goal_set) in enumerate(zip(source_trajectories(live, batch),
+                                                  batch.goal_sets)):
+                achieved = live[k].achieved_goals
+                expected = achieved[scalar_first_visit_rows(achieved, buf.goal_dedup_tol)]
                 np.testing.assert_array_equal(goal_set, expected)
-                assert batch.goal_counts[k] == len(expected)
+                assert batch.goal_counts[j] == len(expected)
     assert buf.n_transitions <= 60 and compactions
 
 
@@ -268,47 +287,17 @@ def test_flat_arrays_grow_with_use_and_compact_only_at_the_cap(rng, monkeypatch)
 
     buf = make_buffer(capacity=300)
     her = HerConfig(relabel_ratio=0.5)
+    stored = []
     for i in range(120):
-        buf.store_trajectory(make_trajectory(rng, horizon=int(rng.integers(5, 40))))
+        stored.append(make_trajectory(rng, horizon=int(rng.integers(5, 40))))
+        buf.store_trajectory(stored[-1])
         assert len(buf._states) <= int(300 * 1.25) + 2 * 41 + 4
         if i % 20 == 19:
+            live = stored[-buf.n_trajectories:]
             batch = buf.sample_batch(64, her, rng)
-            for sample, goal in zip(batch, batch.original_goals):
-                np.testing.assert_array_equal(goal, sample.trajectory.desired_goal)
-                np.testing.assert_array_equal(sample.state, sample.trajectory.states[sample.t])
+            for k, goal in zip(source_trajectories(live, batch), batch.original_goals):
+                np.testing.assert_array_equal(goal, live[k].desired_goal)
     assert compactions
-
-
-def test_sample_hindsight_goals_full_fraction_returns_whole_set(rng):
-    traj = make_trajectory(rng, horizon=10, walk_scale=1.0)
-    goal_set = hindsight_goal_set(traj, 1e-9)
-    drawn = sample_hindsight_goals(traj, len(goal_set), rng, dedup_tol=1e-9)
-    # without replacement at k = |set|: a permutation of the set
-    assert {tuple(g) for g in drawn} == {tuple(g) for g in goal_set}
-
-
-def test_sample_hindsight_goals_singleton():
-    states = np.zeros((4, 4))
-    traj = Trajectory(states, np.zeros((3, 2)), np.zeros((4, 2)), np.zeros(2))
-    drawn = sample_hindsight_goals(traj, 1, np.random.default_rng(0), dedup_tol=0.01)
-    np.testing.assert_array_equal(drawn, [[0.0, 0.0]])
-
-
-def test_sample_hindsight_goals_uniform_frequencies(rng):
-    traj = make_trajectory(rng, horizon=9, walk_scale=1.0)
-    goal_set = hindsight_goal_set(traj, 1e-9)
-    n_goals = len(goal_set)
-    draws = 10_000
-    counts = np.zeros(n_goals)
-    for _ in range(draws):
-        g = sample_hindsight_goals(traj, 1, rng, goal_set=goal_set)[0]
-        counts[np.argmin(np.linalg.norm(goal_set - g, axis=1))] += 1
-    expected = draws / n_goals
-    # chi-square against uniform: with n-1 dof the statistic stays well below
-    # the 3-sigma-ish bound dof + 3 * sqrt(2 dof)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = n_goals - 1
-    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
 
 
 def test_dump_csv_one_row_per_transition(tmp_path, rng):

@@ -19,6 +19,12 @@ from oracles import mc_via_goal, occupancy_via_goal_tensor
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
 
+def exact_values(mdp, policy):
+    """(S, G) values of every goal slice, one direct solve per goal."""
+    return np.stack([policy_evaluation_direct(mdp, policy, g)[1] for g in range(policy.n_goals)],
+                    axis=1)
+
+
 def test_single_path_case_is_gamma_times_downstream_value():
     # s1 sits one deterministic step from the goal set {s2}; with g' = g the
     # via-goal value collapses to gamma * V(s2, g)
@@ -68,7 +74,7 @@ def test_gridworld_matches_monte_carlo_rollout_oracle(rng):
 def test_tensor_agrees_with_scalar_op(rng):
     mdp = make_gridworld(3, 3, gamma=0.85, slip=0.2)
     policy = TabularPolicy.random(9, 9, 4, rng)
-    v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy)
+    v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
     for s in [0, 4, 8]:
         for g in [1, 6]:
             for sub in [0, 3, 8]:
@@ -86,7 +92,7 @@ def test_hit_probability_equals_one_minus_gamma_times_value(rng):
     # p(g'|s) = (1 - gamma) V(s, g'): the identity Theorem 2's first factor uses
     mdp = make_gridworld(4, 3, gamma=0.9, slip=0.1)
     policy = TabularPolicy.random(12, 12, 4, rng)
-    _, p_hit, _, _ = via_goal_tensor(mdp, policy)
+    _, p_hit, _, _ = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
     for sub in range(12):
         _, v = policy_evaluation_direct(mdp, policy, sub)
         np.testing.assert_allclose(p_hit[:, sub], (1 - 0.9) * v, atol=1e-10)
@@ -99,7 +105,7 @@ def test_tensor_matches_reference_built_from_occupancy_tables(rng):
     n_states = len(grid_cells(4, 3, walls))
     mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
     policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
-    got = via_goal_tensor(mdp, policy)
+    got = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
     want = occupancy_via_goal_tensor(mdp, policy)
     defined = want[3]
     assert defined.any() and not defined.all()
