@@ -164,22 +164,32 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
 
     When K equals the full goal-set size (the default fraction of 1), the
     component set is the whole hindsight goal set: the batch's goal table
-    is used as it is. Otherwise each element draws its own K goals
-    uniformly, without replacement while K fits in its set.
+    is used as it is. Otherwise each element's K goals are gathered from
+    its row of the table: the whole set in first-visit order where K equals
+    its size, K uniform draws with replacement where K exceeds it (one
+    random((rows, K_max)) call), and the first K of a uniform random order
+    of the set where K is smaller (one random((rows, table width)) call,
+    argsorted with the padding slots last), so a uniform K-subset without
+    replacement. Slots past an element's K are padding, never read.
     """
     counts = batch.goal_counts
     ks = resolve_k(cfg, counts)
     if np.array_equal(ks, counts):
         return BatchedHgrPriors(batch.states, batch.goal_table, counts, nets.prior_actor(cfg))
-    n = len(batch)
-    padded = np.zeros((n, int(ks.max()), batch.goal_table.shape[2]))
-    for i, goal_set in enumerate(batch.goal_sets):
-        k = ks[i]
-        if k == len(goal_set):
-            padded[i, :k] = goal_set
-        else:
-            idx = rng.choice(len(goal_set), size=k, replace=k > len(goal_set))
-            padded[i, :k] = goal_set[idx]
+    n, width = batch.goal_table.shape[:2]
+    slot = np.arange(int(ks.max()))
+    idx = np.where(slot < counts[:, None], slot, 0)
+    over = ks > counts
+    if over.any():
+        draws = np.floor(rng.random((int(over.sum()), len(slot))) * counts[over, None])
+        idx[over] = draws.astype(np.int64)
+    under = ks < counts
+    if under.any():
+        keys = rng.random((int(under.sum()), width))
+        keys[np.arange(width) >= counts[under, None]] = np.inf
+        order = np.argsort(keys, axis=1)[:, : len(slot)]
+        idx[under, : order.shape[1]] = order
+    padded = batch.goal_table[np.arange(n)[:, None], idx]
     return BatchedHgrPriors(batch.states, padded, ks, nets.prior_actor(cfg))
 
 

@@ -3,7 +3,7 @@ from .goals import dump_terminal_goals
 from .loop import (
     RunFailure,
     collect_episode,
-    exploration_action,
+    collect_episodes,
     final_success_per_seed,
     read_metrics,
     run_eval,
@@ -21,7 +21,7 @@ __all__ = [
     "dump_terminal_goals",
     "RunFailure",
     "collect_episode",
-    "exploration_action",
+    "collect_episodes",
     "final_success_per_seed",
     "read_metrics",
     "run_eval",

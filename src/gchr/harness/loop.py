@@ -7,9 +7,19 @@ from named child streams of the seed, so a (config, seed) pair reproduces
 its metrics file byte for byte; wall-clock timings go to a separate file
 for that reason.
 
+Collection is lockstep: the warm-up episodes, and each cycle's episodes,
+are reset one by one and then stepped together, one action call and one
+env.step per timestep on the stacked states (collect_episodes).
+
 Exploration follows the sparse-goal-reaching convention: with a fixed
 probability the action is uniform in the box, otherwise it is a policy
-sample plus Gaussian noise, clipped.
+sample plus Gaussian noise, clipped. Draw order, which fixes every run's
+output: per timestep of n stacked episodes, explore_rng gives random(n)
+for the random-action mask, then uniform(-1, 1, (n, action_dim)), then
+one policy sample on all n rows, then standard_normal((n, action_dim))
+for the exploration noise (only when the noise scale is positive); the
+warm-up draws only uniform(-1, 1, (n, action_dim)). env_rng gives the n
+resets in episode order, then each step's action-noise draw in the env.
 
 The networks are too small to gain from multithreaded BLAS, which only
 adds overhead. Nothing here limits BLAS threads: set
@@ -36,17 +46,27 @@ class RunFailure(RuntimeError):
     """A training run aborted (non-finite loss)."""
 
 
-def exploration_action(agent, state, goal, rng, random_action_prob, noise_scale):
-    if rng.random() < random_action_prob:
-        return rng.uniform(-1.0, 1.0, size=agent.action_dim)
-    action = agent.act(state, goal, rng=rng)
+def exploration_actions(agent, states, goals, rng, random_action_prob, noise_scale):
+    """Exploration actions for a stack of (state, goal) rows, one row each.
+
+    Every row draws its mask entry and uniform action, and every row gets a
+    policy sample, whether or not the mask keeps it, so the draws per call
+    depend only on the stack's size (see the module docstring for their
+    order).
+    """
+    shape = (len(states), agent.action_dim)
+    random_rows = rng.random(shape[0]) < random_action_prob
+    uniform = rng.uniform(-1.0, 1.0, size=shape)
+    actions = agent.act(states, goals, rng=rng)
     if noise_scale > 0:
-        action = action + noise_scale * rng.standard_normal(agent.action_dim)
-    return np.clip(action, -1.0, 1.0)
+        actions = actions + noise_scale * rng.standard_normal(shape)
+    return np.where(random_rows[:, None], uniform, np.clip(actions, -1.0, 1.0))
 
 
 def collect_episode(env, action_fn, env_rng):
-    """Roll one full episode; returns (Trajectory, return, final-state success)."""
+    """Roll one full episode alone; returns (Trajectory, return, final-state
+    success). Training collects through collect_episodes, which gives the
+    same trajectory for n = 1."""
     es = env.reset(env_rng)
     states = [es.state]
     achieved = [es.achieved_goal]
@@ -68,6 +88,44 @@ def collect_episode(env, action_fn, env_rng):
     )
 
 
+def _reset_stack(env, n, rng):
+    """n episodes reset one by one from rng, stacked along a leading axis."""
+    starts = [env.reset(rng) for _ in range(n)]
+    return GoalEnvState(
+        state=np.array([s.state for s in starts]),
+        achieved_goal=np.array([s.achieved_goal for s in starts]),
+        desired_goal=np.array([s.desired_goal for s in starts]),
+    )
+
+
+def collect_episodes(env, n, action_fn, env_rng):
+    """Roll n full episodes in lockstep; returns their Trajectory list in
+    episode order.
+
+    The n episodes are reset one by one from env_rng and stacked; each
+    timestep then makes one action_fn(states (n, state_dim), goals
+    (n, goal_dim)) -> (n, action_dim) call and one env.step on the stack.
+    Each trajectory equals the one its episode gives when stepped alone
+    with the same actions and the same env_rng draws.
+    """
+    if n < 1:
+        raise ValueError("collection needs at least one episode")
+    spec = env.spec
+    es = _reset_stack(env, n, env_rng)
+    states = np.empty((n, spec.horizon + 1, spec.state_dim))
+    achieved = np.empty((n, spec.horizon + 1, spec.goal_dim))
+    actions = np.empty((n, spec.horizon, spec.action_dim))
+    states[:, 0] = es.state
+    achieved[:, 0] = es.achieved_goal
+    for t in range(spec.horizon):
+        action = action_fn(es.state, es.desired_goal)
+        es, _, _ = env.step(es, action, env_rng)
+        actions[:, t] = action
+        states[:, t + 1] = es.state
+        achieved[:, t + 1] = es.achieved_goal
+    return [Trajectory(states[i], actions[i], achieved[i], es.desired_goal[i]) for i in range(n)]
+
+
 def run_eval(actor, env, n, seed_or_rng):
     """Mean-action evaluation over n fresh-goal episodes.
 
@@ -85,12 +143,7 @@ def run_eval(actor, env, n, seed_or_rng):
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    starts = [env.reset(rng) for _ in range(n)]
-    es = GoalEnvState(
-        state=np.array([s.state for s in starts]),
-        achieved_goal=np.array([s.achieved_goal for s in starts]),
-        desired_goal=np.array([s.desired_goal for s in starts]),
-    )
+    es = _reset_stack(env, n, rng)
     returns = np.zeros(n)
     vectorized = hasattr(actor, "mean_action")
     for _ in range(env.spec.horizon):
@@ -142,12 +195,17 @@ def train_seed(cfg, seed, seed_dir):
             collected.append(trajectory)
 
     # warmup: uniform random action episodes before any gradient update
-    warmup_episodes = -(-cfg.warmup_steps // spec.horizon) if cfg.warmup_steps else 0
-    for _ in range(warmup_episodes):
-        traj, _, _ = collect_episode(
-            env, lambda s, g: explore_rng.uniform(-1.0, 1.0, spec.action_dim), env_rng
-        )
-        store(traj)
+    warmup_episodes = -(-cfg.warmup_steps // spec.horizon)
+    if warmup_episodes:
+        for traj in collect_episodes(
+            env, warmup_episodes,
+            lambda s, g: explore_rng.uniform(-1.0, 1.0, (len(s), spec.action_dim)), env_rng,
+        ):
+            store(traj)
+
+    def explore(states, goals):
+        return exploration_actions(agent, states, goals, explore_rng,
+                                   cfg.random_action_prob, cfg.exploration_noise)
 
     checkpoint = seed_dir / "checkpoint.ckpt"
     metric_rows = []
@@ -158,15 +216,7 @@ def train_seed(cfg, seed, seed_dir):
             sums = dict.fromkeys(_METRIC_FIELDS, 0.0)
             n_updates = 0
             for _ in range(cfg.cycles_per_epoch):
-                for _ in range(cfg.episodes_per_cycle):
-                    traj, _, _ = collect_episode(
-                        env,
-                        lambda s, g: exploration_action(
-                            agent, s, g, explore_rng,
-                            cfg.random_action_prob, cfg.exploration_noise,
-                        ),
-                        env_rng,
-                    )
+                for traj in collect_episodes(env, cfg.episodes_per_cycle, explore, env_rng):
                     store(traj)
                 for _ in range(agent_cfg.updates_per_cycle):
                     metrics = agent.update(buffer, cfg.her, update_rng)

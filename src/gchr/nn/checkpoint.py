@@ -1,6 +1,6 @@
 """Parameter checkpoints: bit-exact save/load of named float64 arrays.
 
-File layout (documented here and in the README):
+File layout:
 
     line 1:  magic b"GCHR-CKPT-1\\n"
     line 2:  one JSON object {"arrays": [{"name": ..., "shape": [...]}, ...]}

@@ -19,7 +19,7 @@ from .supports import (
     hgr_support_table,
     hsr_support_table,
 )
-from .via_goal import via_goal_components, via_goal_tensor, via_goal_value
+from .via_goal import via_goal_tensor
 
 __all__ = [
     "ReachabilityCertificate",
@@ -50,7 +50,5 @@ __all__ = [
     "behavior_clone",
     "hgr_support_table",
     "hsr_support_table",
-    "via_goal_components",
     "via_goal_tensor",
-    "via_goal_value",
 ]

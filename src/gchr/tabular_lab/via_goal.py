@@ -12,28 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .occupancy import HIT_MASS_FLOOR, compute_occupancy, goal_hitting
-from .solve import policy_evaluation_direct
-
-
-def via_goal_components(mdp, policy, s, goal, subgoal, table=None, values=None):
-    """(hit probability, downstream value, defined flag) for one (s, g, g')."""
-    if table is None:
-        table = compute_occupancy(mdp, policy, subgoal)
-    if values is None:
-        _, values = policy_evaluation_direct(mdp, policy, goal)
-    if table.hit_mass[s] <= HIT_MASS_FLOOR:
-        return 0.0, 0.0, False
-    p_hit = float(table.p_goal_marginal[s])
-    downstream = float(table.first_hit[s] @ values)
-    return p_hit, downstream, True
-
-
-def via_goal_value(mdp, policy, s, goal, subgoal, table=None, values=None):
-    p_hit, downstream, defined = via_goal_components(
-        mdp, policy, s, goal, subgoal, table=table, values=values
-    )
-    return p_hit * downstream if defined else 0.0
+from .occupancy import HIT_MASS_FLOOR, goal_hitting
 
 
 def via_goal_tensor(mdp, policy, values):

@@ -101,6 +101,30 @@ def per_rollout_eval(actor, env, n, seed_or_rng):
     return float(np.mean(successes)), float(returns.mean())
 
 
+def per_episode_collection(env, n, action_fn, env_rng):
+    """Collection stepping each episode alone, one env.step per episode and
+    timestep: the reference for the lockstep collect_episodes. The n
+    episodes are reset in the same order from the same rng; action_fn is
+    called once per timestep on the stacked states and goals, so its draws
+    are the lockstep run's, and each episode is stepped with its own row."""
+    from gchr.replay import Trajectory
+
+    episodes = [env.reset(env_rng) for _ in range(n)]
+    states = [[es.state] for es in episodes]
+    achieved = [[es.achieved_goal] for es in episodes]
+    actions = [[] for _ in range(n)]
+    for _ in range(env.spec.horizon):
+        rows = action_fn(np.array([es.state for es in episodes]),
+                         np.array([es.desired_goal for es in episodes]))
+        for i, es in enumerate(episodes):
+            episodes[i], _, _ = env.step(es, rows[i], env_rng)
+            states[i].append(episodes[i].state)
+            achieved[i].append(episodes[i].achieved_goal)
+            actions[i].append(rows[i])
+    return [Trajectory(np.array(states[i]), np.array(actions[i]), np.array(achieved[i]),
+                       episodes[i].desired_goal) for i in range(n)]
+
+
 def _scalar_in_box(x, y, box):
     x0, x1, y0, y1 = box
     return x0 <= x <= x1 and y0 <= y <= y1
@@ -264,6 +288,26 @@ def occupancy_via_goal_tensor(mdp, policy):
         downstream[:, :, sub] = table.first_hit @ values
     downstream *= defined[:, None, :]
     return p_hit[:, None, :] * downstream, p_hit, downstream, defined
+
+
+def via_goal_components(mdp, policy, s, goal, subgoal):
+    """(hit probability, downstream value, defined flag) for one (s, g, g'),
+    from one full compute_occupancy table and one direct solve: the scalar
+    route to one entry of via_goal_tensor."""
+    from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
+    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
+
+    table = compute_occupancy(mdp, policy, subgoal)
+    if table.hit_mass[s] <= HIT_MASS_FLOOR:
+        return 0.0, 0.0, False
+    _, values = policy_evaluation_direct(mdp, policy, goal)
+    return float(table.p_goal_marginal[s]), float(table.first_hit[s] @ values), True
+
+
+def via_goal_value(mdp, policy, s, goal, subgoal):
+    """V_via(s, g; g') by the scalar route; 0 where the subgoal is unreachable."""
+    p_hit, downstream, defined = via_goal_components(mdp, policy, s, goal, subgoal)
+    return p_hit * downstream if defined else 0.0
 
 
 def _step_markov(states, cum_rows, rng):

@@ -6,10 +6,12 @@ import pytest
 
 import gchr.tabular_lab.report as tabular_report
 
-from gchr.agent import load_actor_from_checkpoint
+from gchr.agent import GchrAgent, GchrConfig, load_actor_from_checkpoint
 from gchr.envs import make_env, scripted_reach_action
 from gchr.harness import (
     ConfigError,
+    collect_episode,
+    collect_episodes,
     default_config,
     load_config,
     run_eval,
@@ -18,10 +20,11 @@ from gchr.harness import (
 )
 from gchr.harness.cli import main
 from gchr.harness.config import _SECTIONS as config_sections
+from gchr.harness.loop import exploration_actions
 from gchr.nn.actor_critic import PolicyNet
 from gchr.tabular_lab import policy_evaluation_iterative
 
-from oracles import per_rollout_eval
+from oracles import per_episode_collection, per_rollout_eval
 
 TINY_REACH = [
     "env.name=point_reach", "run.epochs=2", "run.cycles_per_epoch=2",
@@ -52,6 +55,74 @@ def test_lockstep_eval_matches_per_rollout_reference(name, noise):
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
     assert run_eval(actor, env, 7, rng_a) == per_rollout_eval(actor, env, 7, rng_b)
     assert rng_a.random() == rng_b.random()  # the stream advanced the same way
+
+
+def spread_agent():
+    """A tiny agent whose large init spreads its actions over the whole box,
+    so walls, pushes and the action clip all come into play."""
+    agent = GchrAgent(4, 2, 2, GchrConfig(hidden_sizes=(16, 16)), seed=5)
+    actor = agent.nets.actor
+    actor.set_params({k: 4.0 * v for k, v in actor.params().items()})
+    return agent
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("states", "actions", "achieved_goals", "desired_goal"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])
+def test_lockstep_collection_matches_per_episode_reference(name, noise):
+    env = make_env(name, action_noise_std=noise)
+    agent = spread_agent()
+    runs = []
+    for collect in (collect_episodes, per_episode_collection):
+        explore_rng, env_rng = np.random.default_rng(8), np.random.default_rng(9)
+
+        def explore(states, goals):
+            return exploration_actions(agent, states, goals, explore_rng, 0.3, 0.2)
+
+        runs.append((collect(env, 6, explore, env_rng), explore_rng, env_rng))
+    (got, explore_a, env_a), (want, explore_b, env_b) = runs
+    assert_same_trajectories(got, want)
+    # both streams advanced the same way
+    assert explore_a.random() == explore_b.random()
+    assert env_a.random() == env_b.random()
+
+
+def test_exploration_actions_follow_the_documented_draw_order():
+    agent = spread_agent()
+    rng = np.random.default_rng(3)
+    states, goals = rng.normal(size=(9, 4)), rng.normal(size=(9, 2))
+    got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
+    got = exploration_actions(agent, states, goals, got_rng, 0.4, 0.2)
+    mask = want_rng.random(9) < 0.4
+    uniform = want_rng.uniform(-1.0, 1.0, (9, 2))
+    sample = agent.nets.actor.sample(states, goals, want_rng)
+    noisy = np.clip(sample + 0.2 * want_rng.standard_normal((9, 2)), -1.0, 1.0)
+    np.testing.assert_array_equal(got, np.where(mask[:, None], uniform, noisy))
+    assert 0 < mask.sum() < 9 and np.all(np.abs(got) <= 1.0)
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])
+def test_single_episode_collection_matches_lockstep_collection_of_one(name, noise):
+    # collect_episode keeps its own single-state body; one lockstep episode
+    # must give the same trajectory and leave both streams in the same state
+    env = make_env(name, action_noise_std=noise)
+    explore_a, env_a = np.random.default_rng(6), np.random.default_rng(7)
+    explore_b, env_b = np.random.default_rng(6), np.random.default_rng(7)
+    traj, _, _ = collect_episode(env, lambda s, g: explore_a.uniform(-1.0, 1.0, 2), env_a)
+    (stacked,) = collect_episodes(
+        env, 1, lambda s, g: explore_b.uniform(-1.0, 1.0, (len(s), 2)), env_b
+    )
+    assert_same_trajectories([stacked], [traj])
+    assert explore_a.random() == explore_b.random()
+    assert env_a.random() == env_b.random()
 
 
 def test_callable_actor_scripted_controller_reaches_the_goals():

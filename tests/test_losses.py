@@ -394,6 +394,28 @@ def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
     assert chi2 <= dof + 3 * np.sqrt(2 * dof)
 
 
+def test_prior_subsets_include_every_member_uniformly(rng):
+    # K < |set|: each element keeps a uniform 3-subset of its goals, so each
+    # of a 10-goal set's members is included with probability 3/10; every
+    # other element holds a 12-goal set, so the 10-goal rows carry padding
+    nets = make_nets(small_cfg())
+    goal_set, wider = rng.normal(size=(10, GOAL_DIM)), rng.normal(size=(12, GOAL_DIM))
+    n, k = 10_000, 3
+    batch = make_batch(rng, n=n, goal_sets=[goal_set, wider] * (n // 2))
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=k), rng)
+    np.testing.assert_array_equal(priors.counts, k)
+    drawn = priors.padded_goals[::2, :k]
+    member = np.argmin(np.linalg.norm(drawn[:, :, None] - goal_set, axis=3), axis=2)
+    np.testing.assert_array_equal(goal_set[member], drawn)
+    assert all(len(set(row)) == k for row in member)  # without replacement
+    counts = np.bincount(member.ravel(), minlength=len(goal_set))
+    expected = n // 2 * k / len(goal_set)
+    # without replacement the statistic's mean is below dof, so the bound holds
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(goal_set) - 1
+    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
+
+
 def test_batched_prior_sampling_shape_and_box(rng):
     cfg = small_cfg(prior_mc_samples=3)
     nets = make_nets(cfg)

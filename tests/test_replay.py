@@ -119,10 +119,18 @@ def test_sampling_uniform_over_transitions(rng):
     t2 = make_trajectory(rng, horizon=15)
     buf.store_trajectory(t1)
     buf.store_trajectory(t2)
-    batch = buf.sample_batch(40_000, HerConfig(relabel_ratio=0.0), rng)
-    frac_t2 = np.mean(source_trajectories([t1, t2], batch) == 1)
-    # 15 of 20 transitions live in t2; binomial 5 sigma ~ 0.011
-    assert abs(frac_t2 - 0.75) <= 0.015
+    n = 40_000
+    batch = buf.sample_batch(n, HerConfig(relabel_ratio=0.0), rng)
+    # transition id: t1's 5 steps are 0-4, t2's 15 steps are 5-19
+    ids = np.where(source_trajectories([t1, t2], batch) == 0, 0, 5) + batch.t
+    counts = np.bincount(ids, minlength=20)
+    assert len(counts) == 20
+    # chi-square against uniform over all 20 transitions: a sampler that
+    # skips one transition adds n / 20 = 2000 to the statistic on its own
+    expected = n / 20
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(counts) - 1
+    assert chi2 <= dof + 3 * np.sqrt(2 * dof)
 
 
 def test_empty_buffer_rejected(rng):

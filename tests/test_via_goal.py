@@ -9,12 +9,15 @@ from gchr.tabular_lab import (
     grid_cells,
     make_gridworld,
     policy_evaluation_direct,
-    via_goal_components,
     via_goal_tensor,
-    via_goal_value,
 )
 
-from oracles import mc_via_goal, occupancy_via_goal_tensor
+from oracles import (
+    mc_via_goal,
+    occupancy_via_goal_tensor,
+    via_goal_components,
+    via_goal_value,
+)
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
