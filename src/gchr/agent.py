@@ -197,7 +197,7 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
 
 
 def critic_loss(batch, nets, cfg):
-    """Mean squared TD error with clipped targets; returns (loss, critic grads).
+    """Mean squared TD error with clipped targets; returns (loss, dL/d(critic theta)).
 
     The bootstrap action is the target actor's distribution mode and the
     target value comes from the target critic; targets are clipped to the
@@ -214,15 +214,15 @@ def critic_loss(batch, nets, cfg):
     q, cache = nets.critic.q_cached(batch.states, batch.actions, batch.goals)
     err = q - targets
     loss = float(np.mean(err * err))
-    grads, _ = nets.critic.backward(cache, 2.0 * err / len(err))
-    return loss, grads
+    grad, _ = nets.critic.backward(cache, 2.0 * err / len(err))
+    return loss, grad
 
 
 def hsr_loss(batch, actor):
     """Behavior cloning on relabeled samples: -mean log pi(a | s, g_relabel).
 
     `actor` is a PolicyNet or a row view of a shared actor pass; with a row
-    view the gradients go into the shared pass and None is returned for them.
+    view the gradients go into the shared pass and None is returned for the gradient.
     """
     if not np.all(batch.is_relabeled):
         raise ValueError("hsr_loss expects a batch of relabeled samples only")
@@ -231,8 +231,8 @@ def hsr_loss(batch, actor):
     n = len(logp)
     loss = -float(np.mean(logp))
     scale = -1.0 / n
-    grads, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
-    return loss, grads
+    grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
+    return loss, grad
 
 
 def hgr_loss(batch, priors, actor, cfg, rng, prior_actions=None):
@@ -254,8 +254,8 @@ def hgr_loss(batch, priors, actor, cfg, rng, prior_actions=None):
     logp, d_mean, d_log_std = gaussian_log_prob_grads(head, prior_actions.reshape(n * m, action_dim))
     loss = -float(np.mean(logp))
     scale = -1.0 / (n * m)
-    grads, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
-    return loss, grads
+    grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
+    return loss, grad
 
 
 class _ActorRows:
@@ -295,7 +295,7 @@ class _ActorRows:
 
 
 def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
-    """Combined actor objective; returns (loss, actor grads, term values).
+    """Combined actor objective; returns (loss, dL/d(actor theta), term values).
 
     loss = -mean Q(s, a~, g_eff) + alpha * hsr + beta * hgr, with a~
     reparameterized from the actor and the critic held fixed. Passing
@@ -363,22 +363,18 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
         value, _ = hgr_loss(batch, priors, view, cfg, rng, prior_actions=prior_actions)
         parts["hgr"] = value
         loss += cfg.beta * value
-    grads, _ = nets.actor.backward_from_head(cache, raw, shared_d_mean, shared_d_log_std)
-    return loss, grads, parts
+    grad, _ = nets.actor.backward_from_head(cache, raw, shared_d_mean, shared_d_log_std)
+    return loss, grad, parts
 
 
 def update_targets(nets, cfg, global_step):
     """Polyak-average both targets; hard-copy the delayed prior every tau_delay steps."""
     rho = cfg.polyak
     for online, target in ((nets.actor, nets.target_actor), (nets.critic, nets.target_critic)):
-        for ow, tw in zip(online.mlp.weights, target.mlp.weights):
-            tw *= rho
-            tw += (1.0 - rho) * ow
-        for ob, tb in zip(online.mlp.biases, target.mlp.biases):
-            tb *= rho
-            tb += (1.0 - rho) * ob
+        target.mlp.theta *= rho
+        target.mlp.theta += (1.0 - rho) * online.mlp.theta
     if cfg.prior_source == "delayed_copy" and global_step % cfg.tau_delay == 0:
-        nets.delayed_actor.set_params(nets.actor.params())
+        nets.delayed_actor.mlp.theta[:] = nets.actor.mlp.theta
 
 
 # -- agent --------------------------------------------------------------------
@@ -398,23 +394,17 @@ class GchrAgent:
         self.critic_opt = AdamState(learning_rate=self.cfg.learning_rate)
         self.global_step = 0
 
-    def act(self, state, goal, rng=None, greedy=False):
-        if greedy:
-            return self.nets.actor.mean_action(state, goal)
-        return self.nets.actor.sample(state, goal, rng)
-
     def update(self, buffer, her, rng):
         """One gradient step on a fresh minibatch; returns the loss terms."""
         cfg = self.cfg
         batch = buffer.sample_batch(cfg.batch_size, her, rng)
-        c_loss, c_grads = critic_loss(batch, self.nets, cfg)
-        new_critic, _ = adam_step(self.nets.critic.params(), c_grads, self.critic_opt)
-        self.nets.critic.set_params(new_critic)
+        critic, actor = self.nets.critic.mlp, self.nets.actor.mlp
+        c_loss, c_grad = critic_loss(batch, self.nets, cfg)
+        adam_step(critic.theta, c_grad, self.critic_opt, critic.block_of)
 
         priors = build_hgr_priors_batch(batch, self.nets, cfg, rng) if cfg.beta > 0 else None
-        a_loss, a_grads, parts = actor_loss(batch, priors, self.nets, cfg, rng)
-        new_actor, _ = adam_step(self.nets.actor.params(), a_grads, self.actor_opt)
-        self.nets.actor.set_params(new_actor)
+        a_loss, a_grad, parts = actor_loss(batch, priors, self.nets, cfg, rng)
+        adam_step(actor.theta, a_grad, self.actor_opt, actor.block_of)
 
         self.global_step += 1
         update_targets(self.nets, cfg, self.global_step)

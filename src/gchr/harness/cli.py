@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..agent import load_actor_from_checkpoint
 from ..envs import load_tabular_mdp, make_env
+from ..nn.mlp import ACTIVATIONS
 from ..tabular_lab import format_report, verify_tabular, write_report_csv
 from .config import ConfigError, default_config, load_config, parse_env_overrides
 from .goals import dump_terminal_goals
@@ -110,7 +111,7 @@ def build_parser():
     evaluate.add_argument("--env", required=True)
     evaluate.add_argument("--episodes", type=int, default=100)
     evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--activation", default="relu")
+    evaluate.add_argument("--activation", default="relu", choices=ACTIVATIONS)
     evaluate.add_argument("--set", action="append", default=[], metavar="ENV.KEY=VALUE")
     evaluate.set_defaults(func=cmd_eval)
 

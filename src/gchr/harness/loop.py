@@ -57,7 +57,7 @@ def exploration_actions(agent, states, goals, rng, random_action_prob, noise_sca
     shape = (len(states), agent.action_dim)
     random_rows = rng.random(shape[0]) < random_action_prob
     uniform = rng.uniform(-1.0, 1.0, size=shape)
-    actions = agent.act(states, goals, rng=rng)
+    actions = agent.nets.actor.sample(states, goals, rng)
     if noise_scale > 0:
         actions = actions + noise_scale * rng.standard_normal(shape)
     return np.where(random_rows[:, None], uniform, np.clip(actions, -1.0, 1.0))
@@ -132,9 +132,9 @@ def run_eval(actor, env, n, seed_or_rng):
     Returns (success_rate, mean_return); success is the final state lying
     within tolerance. The n episodes are reset one by one, then stepped in
     lockstep: one env.step per timestep on the stacked states. `actor`
-    either exposes mean_action(states, goals), called once per timestep on
-    the whole stack, or is a plain callable(state, goal) -> action, called
-    per episode.
+    either exposes mean_action(states, goals) or is itself a callable
+    (states, goals) -> actions; either is called once per timestep on the
+    whole stack.
     """
     if n < 1:
         raise ValueError("evaluation needs at least one rollout")
@@ -145,13 +145,9 @@ def run_eval(actor, env, n, seed_or_rng):
     )
     es = _reset_stack(env, n, rng)
     returns = np.zeros(n)
-    vectorized = hasattr(actor, "mean_action")
+    act = getattr(actor, "mean_action", actor)
     for _ in range(env.spec.horizon):
-        if vectorized:
-            actions = actor.mean_action(es.state, es.desired_goal)
-        else:
-            actions = np.array([actor(s, g) for s, g in zip(es.state, es.desired_goal)])
-        es, rewards, _ = env.step(es, actions, rng)
+        es, rewards, _ = env.step(es, act(es.state, es.desired_goal), rng)
         returns += rewards
     successes = is_success(es.achieved_goal, es.desired_goal, env.spec.success_tolerance)
     return float(np.mean(successes)), float(returns.mean())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .gaussian import LOG_STD_MAX, LOG_STD_MIN, DiagGaussianHead, reparam_action
@@ -13,7 +15,23 @@ def _concat(*arrays):
     return np.concatenate(arrays, axis=-1)
 
 
-class PolicyNet:
+class _MlpNet:
+    """Parameter access shared by the actor and the critic: a net's
+    parameters are those of its trunk Mlp."""
+
+    def params(self, flat=None):
+        return self.mlp.params(flat)
+
+    def set_params(self, params):
+        self.mlp.set_params(params)
+
+    def copy(self):
+        clone = copy.copy(self)
+        clone.mlp = self.mlp.copy()
+        return clone
+
+
+class PolicyNet(_MlpNet):
     """Squashed diagonal-Gaussian actor.
 
     The trunk maps concat(state, goal) to 2*action_dim outputs; the first
@@ -54,7 +72,7 @@ class PolicyNet:
         """Backpropagate gradients on (mean, log_std) to the trunk parameters.
 
         The log-std clamp passes gradient only strictly inside its bounds.
-        Returns (param grads, gradient w.r.t. the concatenated input).
+        Returns (dL/d(theta), gradient w.r.t. the concatenated input).
         """
         mask = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
         d_out = np.concatenate(
@@ -63,23 +81,8 @@ class PolicyNet:
         )
         return self.mlp.backward(cache, d_out)
 
-    def params(self):
-        return self.mlp.params()
 
-    def set_params(self, params):
-        self.mlp.set_params(params)
-
-    def copy(self):
-        clone = PolicyNet.__new__(PolicyNet)
-        clone.state_dim = self.state_dim
-        clone.goal_dim = self.goal_dim
-        clone.action_dim = self.action_dim
-        clone.squash = self.squash
-        clone.mlp = self.mlp.copy()
-        return clone
-
-
-class CriticNet:
+class CriticNet(_MlpNet):
     """Goal-conditioned Q-function over concat(state, action, goal)."""
 
     def __init__(self, state_dim, goal_dim, action_dim, hidden_sizes=(64, 64),
@@ -98,22 +101,8 @@ class CriticNet:
         return self.q_cached(states, actions, goals)[0]
 
     def backward(self, cache, d_q):
-        """Backward from dL/dQ; returns (param grads, dL/d(action))."""
+        """Backward from dL/dQ; returns (dL/d(theta), dL/d(action))."""
         d_out = np.asarray(d_q, dtype=np.float64)[..., np.newaxis]
-        grads, d_input = self.mlp.backward(cache, d_out)
+        grad, d_input = self.mlp.backward(cache, d_out)
         d_action = d_input[..., self.state_dim : self.state_dim + self.action_dim]
-        return grads, d_action
-
-    def params(self):
-        return self.mlp.params()
-
-    def set_params(self, params):
-        self.mlp.set_params(params)
-
-    def copy(self):
-        clone = CriticNet.__new__(CriticNet)
-        clone.state_dim = self.state_dim
-        clone.goal_dim = self.goal_dim
-        clone.action_dim = self.action_dim
-        clone.mlp = self.mlp.copy()
-        return clone
+        return grad, d_action

@@ -1,53 +1,47 @@
-"""Adam optimizer over dict-keyed parameter blocks."""
+"""Adam optimizer over one flat parameter vector (an Mlp's theta)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    first_moment: np.ndarray | None = None  # zeros like theta until the first step
+    second_moment: np.ndarray | None = None
 
 
-def adam_step(params, grads, state):
-    """One bias-corrected Adam update.
+def adam_step(theta, grad, state, block_of=None):
+    """One bias-corrected Adam update of `theta` and the state's moment
+    vectors, all in place; the state's step_count is incremented.
 
-    Moments are kept per parameter block inside the state (initialized to
-    zero on first use); the state's step_count is incremented. Returns the
-    updated parameter dict together with the state.
+    A non-finite gradient raises FloatingPointError before anything moves;
+    `block_of` (an Mlp's block_of) names the block of its first element.
     """
-    if set(params) != set(grads):
-        raise ValueError("params and grads must share the same keys")
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        where = f"parameter block {block_of(index)!r}" if block_of else f"element {index}"
+        raise FloatingPointError(f"non-finite gradient in {where}")
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(theta)
+        state.second_moment = np.zeros_like(theta)
     state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
-    new_params = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        new_params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, state
+    m, v = state.first_moment, state.second_moment
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**state.step_count)
+    v_hat = v / (1.0 - BETA2**state.step_count)
+    theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

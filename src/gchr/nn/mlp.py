@@ -3,6 +3,11 @@
 All arithmetic is float64. Forward and backward accept a single input
 vector or a batch with a leading axis; outputs match the input rank.
 
+A network's parameters are one contiguous vector, `theta`: the blocks w0,
+b0, w1, b1, ... end to end, weights in C order. `weights`, `biases` and
+`params()` are views into it; backward returns the gradient as a fresh
+vector with the same layout, whose blocks `params(grad)` names.
+
 Hidden activations and their gradients live in per-network work arrays that
 every pass reuses: an update's passes over hundreds of rows then allocate
 only their small outputs, instead of fresh hidden-width arrays that the
@@ -42,8 +47,9 @@ class Mlp:
             if b.shape != (layer_sizes[k + 1],):
                 raise ValueError(f"bias {k} has shape {b.shape}, expected ({layer_sizes[k + 1]},)")
         self.layer_sizes = layer_sizes
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.theta = np.concatenate(
+            [np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=np.float64)
+        self.weights, self.biases = self._split(self.theta)
         self.activation = activation
         self._work = {}  # (kind, hidden layer) -> (rows, width) array, grown on demand
         self._passes = 0
@@ -63,29 +69,41 @@ class Mlp:
     def input_dim(self):
         return self.layer_sizes[0]
 
-    def params(self):
-        """Parameters as an ordered dict, keys w0, b0, w1, b1, ..."""
+    def _split(self, flat):
+        """(weights, biases): lists of views into a vector laid out like theta."""
+        weights, biases = [], []
+        start = 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[start : start + n_in * n_out].reshape(n_in, n_out))
+            biases.append(flat[start + n_in * n_out : start + (n_in + 1) * n_out])
+            start += (n_in + 1) * n_out
+        return weights, biases
+
+    def params(self, flat=None):
+        """The parameter blocks as an ordered dict keyed w0, b0, w1, b1, ...:
+        views of theta, or of `flat` (a gradient from backward, say)."""
+        weights, biases = self._split(self.theta if flat is None else flat)
         out = {}
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             out[f"w{k}"] = w
             out[f"b{k}"] = b
         return out
 
+    def block_of(self, index):
+        """Name of the params() block that holds element `index` of theta."""
+        blocks = self.params()
+        ends = np.cumsum([block.size for block in blocks.values()])
+        return list(blocks)[int(np.searchsorted(ends, index, side="right"))]
+
     def set_params(self, params):
-        for k in range(len(self.weights)):
-            w, b = params[f"w{k}"], params[f"b{k}"]
-            if w.shape != self.weights[k].shape or b.shape != self.biases[k].shape:
-                raise ValueError(f"parameter shape mismatch at layer {k}")
-            self.weights[k] = np.asarray(w, dtype=np.float64)
-            self.biases[k] = np.asarray(b, dtype=np.float64)
+        """Copy a dict of blocks keyed like params() into theta."""
+        for name, block in self.params().items():
+            if np.shape(params[name]) != block.shape:
+                raise ValueError(f"parameter shape mismatch at block {name}")
+            block[...] = params[name]
 
     def copy(self):
-        return Mlp(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return Mlp(self.layer_sizes, self.weights, self.biases, self.activation)
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -141,8 +159,8 @@ class Mlp:
             grad_output: dL/d(output), same shape as the forward output.
 
         Returns:
-            (grads, grad_input) where grads matches params() keys and
-            grad_input is dL/d(input).
+            (grad, grad_input): grad is dL/d(theta), a fresh vector laid out
+            like theta; grad_input is dL/d(input).
         """
         acts, single, pass_number = cache
         if pass_number != self._passes:
@@ -153,7 +171,8 @@ class Mlp:
                 f"upstream gradient has shape {np.shape(grad_output)}, "
                 f"expected {acts[-1][0].shape if single else acts[-1].shape}"
             )
-        grads = {}
+        grad = np.empty_like(self.theta)
+        grad_weights, grad_biases = self._split(grad)
         n_layers = len(self.weights)
         for k in range(n_layers - 1, -1, -1):
             if k < n_layers - 1:
@@ -163,8 +182,8 @@ class Mlp:
                     np.multiply(delta, acts[k + 1] > 0.0, out=delta)
                 else:
                     np.multiply(delta, 1.0 - acts[k + 1] ** 2, out=delta)
-            grads[f"w{k}"] = acts[k].T @ delta
-            grads[f"b{k}"] = delta.sum(axis=0)
+            np.matmul(acts[k].T, delta, out=grad_weights[k])
+            delta.sum(axis=0, out=grad_biases[k])
             if k > 0:
                 delta = np.matmul(
                     delta, self.weights[k].T, out=self._work_rows("grad", k - 1, len(delta))
@@ -172,4 +191,4 @@ class Mlp:
             else:
                 delta = delta @ self.weights[k].T
         grad_input = delta[0] if single else delta
-        return grads, grad_input
+        return grad, grad_input

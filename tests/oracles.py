@@ -244,6 +244,66 @@ def scalar_adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return out
 
 
+class DictAdamState:
+    """Adam state of the per-block reference: one moment array per block name."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.first_moment = {}
+        self.second_moment = {}
+
+
+def per_block_adam_step(params, grads, state, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Adam over dict-keyed parameter blocks, each block on its own with its
+    own moments: the reference for the flat adam_step. Returns the updated
+    parameters as fresh arrays."""
+    state.step_count += 1
+    t = state.step_count
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    new_params = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.first_moment.get(name, np.zeros_like(p))
+        v = state.second_moment.get(name, np.zeros_like(p))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        state.first_moment[name] = m
+        state.second_moment[name] = v
+        m_hat = m / bias1
+        v_hat = v / bias2
+        new_params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    return new_params
+
+
+def per_block_update(agent, opts, buffer, her, rng):
+    """One GchrAgent.update taken block by block: the library's losses, then
+    per-block Adam (opts: the critic's and the actor's DictAdamState),
+    set_params, per-block Polyak averaging into fresh arrays and a
+    set_params copy for the delayed prior. The reference for the flat
+    update path."""
+    from gchr.agent import actor_loss, build_hgr_priors_batch, critic_loss
+
+    cfg, nets = agent.cfg, agent.nets
+    batch = buffer.sample_batch(cfg.batch_size, her, rng)
+    _, c_grad = critic_loss(batch, nets, cfg)
+    nets.critic.set_params(
+        per_block_adam_step(nets.critic.params(), nets.critic.params(c_grad), opts[0]))
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng) if cfg.beta > 0 else None
+    _, a_grad, _ = actor_loss(batch, priors, nets, cfg, rng)
+    nets.actor.set_params(
+        per_block_adam_step(nets.actor.params(), nets.actor.params(a_grad), opts[1]))
+    agent.global_step += 1
+    rho = cfg.polyak
+    for online, target in ((nets.actor, nets.target_actor), (nets.critic, nets.target_critic)):
+        online_params = online.params()
+        target.set_params({name: rho * t + (1.0 - rho) * online_params[name]
+                           for name, t in target.params().items()})
+    if cfg.prior_source == "delayed_copy" and agent.global_step % cfg.tau_delay == 0:
+        nets.delayed_actor.set_params({k: v.copy() for k, v in nets.actor.params().items()})
+
+
 def geometric_tail(gamma, start):
     """sum_{k>=start} gamma^k."""
     return gamma**start / (1.0 - gamma)

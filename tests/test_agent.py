@@ -1,7 +1,13 @@
+import itertools
+from dataclasses import fields
+
 import numpy as np
+import pytest
 
 from gchr.agent import GchrAgent, GchrConfig
 from gchr.replay import HerBuffer, HerConfig, Trajectory
+
+from oracles import DictAdamState, per_block_update
 
 
 def filled_buffer(rng, n_traj=6, horizon=12):
@@ -69,7 +75,7 @@ def test_save_load_round_trip(tmp_path, rng):
     state = rng.normal(size=(5, 4))
     goal = rng.normal(size=(5, 2))
     np.testing.assert_array_equal(
-        agent.act(state, goal, greedy=True), clone.act(state, goal, greedy=True)
+        agent.nets.actor.mean_action(state, goal), clone.nets.actor.mean_action(state, goal)
     )
     for name, arr in agent.nets.target_critic.params().items():
         np.testing.assert_array_equal(arr, clone.nets.target_critic.params()[name])
@@ -77,7 +83,45 @@ def test_save_load_round_trip(tmp_path, rng):
 
 def test_act_shapes_and_box(rng):
     agent = make_agent()
-    greedy = agent.act(np.zeros(4), np.zeros(2), greedy=True)
-    sampled = agent.act(np.zeros(4), np.zeros(2), rng=rng)
+    greedy = agent.nets.actor.mean_action(np.zeros(4), np.zeros(2))
+    sampled = agent.nets.actor.sample(np.zeros(4), np.zeros(2), rng)
     assert greedy.shape == (2,) and sampled.shape == (2,)
     assert np.all(np.abs(greedy) < 1.0) and np.all(np.abs(sampled) < 1.0)
+
+
+def test_agent_nets_share_no_memory(rng):
+    agent = make_agent()
+    agent.update(filled_buffer(rng), HerConfig(), rng)
+    arrays = [getattr(agent.nets, f.name).mlp.theta for f in fields(agent.nets)]
+    for opt in (agent.critic_opt, agent.actor_opt):
+        arrays += [opt.first_moment, opt.second_moment]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_flat_update_matches_per_block_reference(activation):
+    kw = dict(activation=activation, alpha=0.5, beta=0.3,
+              prior_source="delayed_copy", tau_delay=2)
+    agent, ref = make_agent(seed=4, **kw), make_agent(seed=4, **kw)
+    opts = (DictAdamState(ref.cfg.learning_rate), DictAdamState(ref.cfg.learning_rate))
+    buf = filled_buffer(np.random.default_rng(7))
+    her = HerConfig()
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(5):
+        agent.update(buf, her, rng)
+        per_block_update(ref, opts, buf, her, ref_rng)
+
+    def bits(a):
+        return a.view(np.int64)
+
+    for f in fields(agent.nets):
+        np.testing.assert_array_equal(bits(getattr(agent.nets, f.name).mlp.theta),
+                                      bits(getattr(ref.nets, f.name).mlp.theta))
+    for net, opt, ref_opt in ((agent.nets.critic, agent.critic_opt, opts[0]),
+                              (agent.nets.actor, agent.actor_opt, opts[1])):
+        assert opt.step_count == ref_opt.step_count == 5
+        for flat, blocks in ((opt.first_moment, ref_opt.first_moment),
+                             (opt.second_moment, ref_opt.second_moment)):
+            want = np.concatenate([blocks[k].ravel() for k in net.params()])
+            np.testing.assert_array_equal(bits(flat), bits(want))

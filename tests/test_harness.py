@@ -166,6 +166,13 @@ def test_cli_eval_config_errors_exit_2(tiny_checkpoint, extra, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_eval_unknown_activation_is_a_usage_error(tiny_checkpoint, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(eval_argv(tiny_checkpoint, "--activation", "bogus"))
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_eval_run_failures_exit_1(tiny_checkpoint, tmp_path, capsys):
     assert main(eval_argv(tmp_path / "missing.ckpt")) == 1
     assert "run failed" in capsys.readouterr().err

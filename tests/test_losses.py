@@ -128,7 +128,7 @@ def test_critic_gradients_match_finite_differences(rng):
         return critic_loss(batch, probe_nets, cfg)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.critic.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(nets.critic.params(analytic), fd) <= 1e-4
 
 
 def test_critic_converges_to_td_fixed_point(rng):
@@ -154,9 +154,8 @@ def test_critic_converges_to_td_fixed_point(rng):
     )
     opt = AdamState(learning_rate=3e-3)
     for step in range(1, 20001):
-        _, grads = critic_loss(batch, nets, cfg)
-        new_params, _ = adam_step(nets.critic.params(), grads, opt)
-        nets.critic.set_params(new_params)
+        _, grad = critic_loss(batch, nets, cfg)
+        adam_step(nets.critic.mlp.theta, grad, opt)
         update_targets(nets, cfg, step)
     # scalar iteration oracle: y <- r + gamma * y converges to r / (1 - gamma)
     y = 0.0
@@ -221,7 +220,8 @@ def test_hsr_gradient_closed_form_unsquashed_gaussian(rng):
         t=np.zeros(16, dtype=int), relabel_t=np.zeros(16, dtype=int),
         goal_sets=[np.zeros((1, 1))] * 16,
     )
-    _, grads = hsr_loss(batch, actor)
+    _, grad = hsr_loss(batch, actor)
+    grads = actor.params(grad)
     sigma2 = np.exp(2 * log_std_bias)
     closed_form = float(np.mean((mean_bias - actions) / sigma2))
     assert grads["b0"][0] == pytest.approx(closed_form, rel=1e-12)
@@ -242,7 +242,7 @@ def test_hsr_gradients_match_finite_differences_squashed(rng):
         return hsr_loss(batch, with_params(nets.actor, params))[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
 
 
 # -- hindsight prior ----------------------------------------------------------
@@ -462,8 +462,8 @@ def _self_case_gradient_norm(m, seed):
     priors = BatchedHgrPriors(batch.states, np.zeros((1, 1, 1)), np.array([1]), prior_net)
     rng = np.random.default_rng(seed)
     actions = priors.sample_actions(m, rng)
-    value, grads = hgr_loss(batch, priors, actor, cfg, rng, prior_actions=actions)
-    norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    value, grad = hgr_loss(batch, priors, actor, cfg, rng, prior_actions=actions)
+    norm = np.sqrt(sum(float((g**2).sum()) for g in actor.params(grad).values()))
     return value, norm, actions, actor
 
 
@@ -531,7 +531,7 @@ def test_hgr_gradients_match_finite_differences(rng):
                         prior_actions=frozen)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
 
 
 def test_hgr_gradient_unbiased_for_forward_kl(rng):
@@ -553,14 +553,15 @@ def test_hgr_gradient_unbiased_for_forward_kl(rng):
 
     _, d_mean, d_log_std = gaussian_log_prob_grads(head, grid[:, None])
     scale = -(p_density * weights)[:, None]
-    true_grads, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
+    true_grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
+    true_grads = actor.params(true_grad)
 
     runs = 200
     samples = {name: [] for name in true_grads}
     for r in range(runs):
         run_rng = np.random.default_rng(1000 + r)
-        _, grads = hgr_loss(batch, priors, actor, cfg, run_rng)
-        for name, g in grads.items():
+        _, grad = hgr_loss(batch, priors, actor, cfg, run_rng)
+        for name, g in actor.params(grad).items():
             samples[name].append(g)
     for name in true_grads:
         stack = np.array(samples[name])
@@ -613,9 +614,7 @@ def test_fused_actor_pass_matches_separate_terms(rng, monkeypatch, unrelabeled_g
     _, task, _ = actor_loss(batch, None, nets, small_cfg(alpha=0.0, beta=0.0), rng, noise=noise)
     _, hsr = hsr_loss(batch.relabeled_subset(), nets.actor)
     _, hgr = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
-    for name in fused:
-        np.testing.assert_allclose(fused[name], task[name] + 0.7 * hsr[name] + 0.4 * hgr[name],
-                                   rtol=1e-10)
+    np.testing.assert_allclose(fused, task + 0.7 * hsr + 0.4 * hgr, rtol=1e-10)
 
     # one update runs the actor network forward and backward exactly once
     agent = GchrAgent(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=1)
@@ -686,7 +685,7 @@ def test_actor_loss_gradients_match_finite_differences(rng):
                           noise=noise, prior_actions=frozen)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
 
 
 def test_actor_entropy_bonus_gradients_match_finite_differences(rng):
@@ -715,7 +714,7 @@ def test_actor_entropy_bonus_gradients_match_finite_differences(rng):
         return actor_loss(batch, None, probe, cfg, local, noise=noise)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
 
 
 # -- target updates -----------------------------------------------------------

@@ -70,7 +70,8 @@ def test_backward_linear_net_weight_grad_is_input():
     net = Mlp([2, 1], [np.array([[0.3], [0.7]])], [np.array([0.1])])
     x = np.array([3.0, -4.0])
     _, cache = net.forward_cached(x)
-    grads, grad_in = net.backward(cache, np.array([1.0]))
+    grad, grad_in = net.backward(cache, np.array([1.0]))
+    grads = net.params(grad)
     np.testing.assert_allclose(grads["w0"][:, 0], x)
     assert grads["b0"][0] == pytest.approx(1.0)
     np.testing.assert_allclose(grad_in, net.weights[0][:, 0])
@@ -79,8 +80,8 @@ def test_backward_linear_net_weight_grad_is_input():
 def test_backward_constant_loss_gives_zero_grads():
     net = Mlp.initialize([3, 4, 2], rng=0)
     _, cache = net.forward_cached(np.ones(3))
-    grads, grad_in = net.backward(cache, np.zeros(2))
-    assert all(np.all(g == 0.0) for g in grads.values())
+    grad, grad_in = net.backward(cache, np.zeros(2))
+    assert np.all(grad == 0.0)
     assert np.all(grad_in == 0.0)
 
 
@@ -100,7 +101,7 @@ def test_backward_matches_central_differences(activation):
     _, cache = net.forward_cached(x)
     analytic, _ = net.backward(cache, direction)
     fd = finite_difference_grads(loss, {k: v.copy() for k, v in net.params().items()})
-    assert max_relative_grad_error(analytic, fd) <= 1e-4
+    assert max_relative_grad_error(net.params(analytic), fd) <= 1e-4
 
 
 def test_backward_input_gradient_matches_central_differences():
@@ -136,7 +137,8 @@ def test_work_array_passes_match_fresh_array_reference(activation):
         x = rng.normal(size=(rows, 5))
         direction = rng.normal(size=(rows, 3))
         out, cache = net.forward_cached(x)
-        grads, grad_in = net.backward(cache, direction)
+        grad, grad_in = net.backward(cache, direction)
+        grads = net.params(grad)
         ref_out, ref_grads, ref_in = fresh_array_pass(net, x, direction)
         for got, want in [(out, ref_out), (grad_in, ref_in)] + [
             (grads[k], ref_grads[k]) for k in ref_grads
@@ -169,3 +171,34 @@ def test_repeated_pass_allocates_no_hidden_width_array():
     # one 1024 x 64 float64 array is 512 kB; the pass allocates only its
     # output, the input gradient, relu masks and the parameter gradients
     assert peak < 1024 * 64 * 8
+
+
+def test_blocks_are_views_of_one_theta_and_set_params_writes_in_place():
+    net = Mlp.initialize([3, 5, 4, 2], rng=0)
+    theta = net.theta
+    assert theta.flags.c_contiguous and theta.size == (3 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 2
+    blocks = net.params()
+    for block in net.weights + net.biases + list(blocks.values()):
+        assert np.shares_memory(block, theta)
+    np.testing.assert_array_equal(np.concatenate([b.ravel() for b in blocks.values()]), theta)
+    moved = {k: v + 1.0 for k, v in blocks.items()}
+    net.set_params(moved)
+    assert net.theta is theta
+    for name, block in blocks.items():  # the views taken before still see theta
+        np.testing.assert_array_equal(block, moved[name])
+    clone = net.copy()
+    assert not np.shares_memory(clone.theta, theta)
+    np.testing.assert_array_equal(clone.theta, theta)
+
+
+def test_backward_returns_a_fresh_gradient_each_pass():
+    net = Mlp.initialize([3, 6, 2], rng=1)
+    rng = np.random.default_rng(3)
+    first, _ = net.backward(net.forward_cached(rng.normal(size=(5, 3)))[1],
+                            rng.normal(size=(5, 2)))
+    kept = first.copy()
+    second, _ = net.backward(net.forward_cached(rng.normal(size=(5, 3)))[1],
+                             rng.normal(size=(5, 2)))
+    np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, net.theta)
