@@ -15,15 +15,15 @@ for the prior term.
 
 All three terms share one actor forward and one backward pass. The pass
 runs over N task rows on (s, g_eff) plus one extra row on (s, g_orig) for
-each sample whose effective goal differs from its original goal. The
-self-imitation term reads the task rows of the relabeled samples (there
-g_eff is g_relabel); the prior term reads one row per element, its task
-row when g_eff equals g_orig, and evaluates its Monte-Carlo draws there.
-`hsr_loss` and `hgr_loss` stay the only implementation of their terms:
-`actor_loss` hands each a row view of the shared pass in place of the
-actor, whose `head_cached` gathers the term's rows and whose
-`backward_from_head` adds the term's weighted head gradients into the
-shared rows. The single backward then runs on the summed head gradients.
+each sample whose effective goal differs from its original goal.
+`hsr_loss` and `hgr_loss` are functions of the actor's head rows: each
+takes the rows its term is defined on and returns the term's value and its
+gradients with respect to those rows' mean and log-std. `actor_loss` owns
+the pass: it gathers the self-imitation rows (the task rows of the
+relabeled samples, where g_eff is g_relabel) and the prior rows (one per
+element, its task row when g_eff equals g_orig and its extra row
+otherwise), adds each term's weighted head gradients into the shared rows,
+and runs the single backward on their sum.
 
 Every gradient is computed analytically through the fixed MLP/Gaussian
 graph in float64 and is checked against central finite differences by the
@@ -50,6 +50,7 @@ from .nn import (
     reparam_grads,
     save_params,
 )
+from .nn.mlp import ACTIVATIONS
 
 PRIOR_SOURCES = ("target_actor", "delayed_copy")
 
@@ -90,6 +91,16 @@ class GchrConfig:
             raise ValueError("hindsight_goal_fraction must lie in (0, 1]")
         if self.hindsight_goals is not None and self.hindsight_goals < 1:
             raise ValueError("hindsight_goals must be >= 1 when set")
+        if self.tau_delay < 1:
+            raise ValueError("tau_delay must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
+        if self.entropy_coeff < 0.0:
+            raise ValueError("entropy_coeff must be non-negative")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError("hidden sizes must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
 @dataclass
@@ -218,80 +229,38 @@ def critic_loss(batch, nets, cfg):
     return loss, grad
 
 
-def hsr_loss(batch, actor):
+def hsr_loss(head, actions):
     """Behavior cloning on relabeled samples: -mean log pi(a | s, g_relabel).
 
-    `actor` is a PolicyNet or a row view of a shared actor pass; with a row
-    view the gradients go into the shared pass and None is returned for the gradient.
+    `head` holds one row per relabeled sample, on its relabeled goal.
+    Returns (loss, d_mean, d_log_std), the head gradients already scaled by
+    -1/n.
     """
-    if not np.all(batch.is_relabeled):
-        raise ValueError("hsr_loss expects a batch of relabeled samples only")
-    head, cache, raw = actor.head_cached(batch.states, batch.goals)
-    logp, d_mean, d_log_std = gaussian_log_prob_grads(head, batch.actions)
-    n = len(logp)
-    loss = -float(np.mean(logp))
-    scale = -1.0 / n
-    grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
-    return loss, grad
+    logp, d_mean, d_log_std = gaussian_log_prob_grads(head, actions)
+    scale = -1.0 / len(logp)
+    return -float(np.mean(logp)), scale * d_mean, scale * d_log_std
 
 
-def hgr_loss(batch, priors, actor, cfg, rng, prior_actions=None):
+def hgr_loss(batch, priors, head, cfg, rng, prior_actions=None):
     """Monte-Carlo cross-entropy against the hindsight mixture priors.
 
-    Draws cfg.prior_mc_samples actions per element from its prior (or uses
-    the given frozen actions) and returns -mean log pi(a' | s, g_orig); the
-    actor gradient matches that of the forward KL from the prior. `actor`
-    may be a row view of a shared actor pass, as in hsr_loss.
+    `head` holds one row per batch element, on (s, g_orig). Draws
+    cfg.prior_mc_samples actions per element from its prior (or uses the
+    given frozen actions), scores each draw against its element's row and
+    returns (-mean log pi(a' | s, g_orig), d_mean, d_log_std), the head
+    gradients scaled by -1/(n m) and summed over each element's m draws;
+    the actor gradient matches that of the forward KL from the prior.
     """
-    if len(priors) != len(batch):
-        raise ValueError("one prior per batch element required")
+    if not len(priors) == len(batch) == len(head.mean):
+        raise ValueError("one prior and one head row per batch element required")
     if prior_actions is None:
         prior_actions = priors.sample_actions(cfg.prior_mc_samples, rng)
-    n, m, action_dim = prior_actions.shape
-    states = np.repeat(batch.states, m, axis=0)
-    goals = np.repeat(batch.original_goals, m, axis=0)
-    head, cache, raw = actor.head_cached(states, goals)
-    logp, d_mean, d_log_std = gaussian_log_prob_grads(head, prior_actions.reshape(n * m, action_dim))
-    loss = -float(np.mean(logp))
+    n, m, _ = prior_actions.shape
+    rows = DiagGaussianHead(head.mean[:, None], head.log_std[:, None], squash=head.squash)
+    logp, d_mean, d_log_std = gaussian_log_prob_grads(rows, prior_actions)
     scale = -1.0 / (n * m)
-    grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
-    return loss, grad
-
-
-class _ActorRows:
-    """Stands in for the actor in one loss term, reading rows of a shared pass.
-
-    `head` and the gradient buffers `d_mean` / `d_log_std` belong to one
-    actor forward pass. The term's inputs are that pass's `rows` (distinct
-    indices), each repeated `repeats` times in np.repeat order; the term
-    computes them as it would for the actor, and only their count is
-    checked here. `backward_from_head` sums the term's head gradients over
-    the repeats, scales them by `weight` and adds them into the buffers; it
-    returns no parameter gradients, since the shared backward produces them.
-    """
-
-    def __init__(self, head, d_mean, d_log_std, rows, weight, repeats=1):
-        self.head = head
-        self.d_mean = d_mean
-        self.d_log_std = d_log_std
-        self.rows = rows
-        self.weight = weight
-        self.repeats = repeats
-
-    def head_cached(self, states, goals):
-        n = len(self.rows) * self.repeats
-        if len(states) != n or len(goals) != n:
-            raise ValueError(f"row view holds {n} rows, got {len(states)} inputs")
-        idx = np.repeat(self.rows, self.repeats)
-        return DiagGaussianHead(self.head.mean[idx], self.head.log_std[idx],
-                                squash=self.head.squash), None, None
-
-    def backward_from_head(self, cache, raw_log_std, d_mean, d_log_std):
-        del cache, raw_log_std  # the shared backward applies the log-std clamp mask
-        shape = (len(self.rows), self.repeats, -1)
-        self.d_mean[self.rows] += self.weight * d_mean.reshape(shape).sum(axis=1)
-        self.d_log_std[self.rows] += self.weight * d_log_std.reshape(shape).sum(axis=1)
-        return None, None
+    return (-float(np.mean(logp)), (scale * d_mean).sum(axis=1),
+            (scale * d_log_std).sum(axis=1))
 
 
 def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
@@ -316,9 +285,13 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
         np.concatenate([batch.states, batch.states[extra]]),
         np.concatenate([batch.goals, batch.original_goals[extra]]),
     )
+
+    def rows(idx):
+        return DiagGaussianHead(shared.mean[idx], shared.log_std[idx], squash=shared.squash)
+
     shared_d_mean = np.zeros_like(shared.mean)
     shared_d_log_std = np.zeros_like(shared.log_std)
-    head = DiagGaussianHead(shared.mean[:n], shared.log_std[:n], squash=shared.squash)
+    head = rows(slice(n))
     if noise is None:
         noise = rng.standard_normal(head.mean.shape)
     action = reparam_action(head, noise)
@@ -348,19 +321,21 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
     parts = {"q_term": q_term, "hsr": 0.0, "hgr": 0.0, "entropy": entropy_term}
 
     if cfg.alpha > 0.0:
+        # relabeled samples' task rows are on g_relabel
         relabeled = np.flatnonzero(batch.is_relabeled)
         if len(relabeled):
-            view = _ActorRows(shared, shared_d_mean, shared_d_log_std, relabeled, cfg.alpha)
-            value, _ = hsr_loss(batch.relabeled_subset(), view)
+            value, d_m, d_ls = hsr_loss(rows(relabeled), batch.actions[relabeled])
+            shared_d_mean[relabeled] += cfg.alpha * d_m
+            shared_d_log_std[relabeled] += cfg.alpha * d_ls
             parts["hsr"] = value
             loss += cfg.alpha * value
     if cfg.beta > 0.0:
         prior_rows = np.arange(n)
         prior_rows[extra] = n + np.arange(len(extra))
-        m = cfg.prior_mc_samples if prior_actions is None else prior_actions.shape[1]
-        view = _ActorRows(shared, shared_d_mean, shared_d_log_std, prior_rows, cfg.beta,
-                          repeats=m)
-        value, _ = hgr_loss(batch, priors, view, cfg, rng, prior_actions=prior_actions)
+        value, d_m, d_ls = hgr_loss(batch, priors, rows(prior_rows), cfg, rng,
+                                    prior_actions=prior_actions)
+        shared_d_mean[prior_rows] += cfg.beta * d_m
+        shared_d_log_std[prior_rows] += cfg.beta * d_ls
         parts["hgr"] = value
         loss += cfg.beta * value
     grad, _ = nets.actor.backward_from_head(cache, raw, shared_d_mean, shared_d_log_std)

@@ -56,14 +56,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
+        if not 0.0 <= self.random_action_prob <= 1.0:
+            raise ConfigError("random_action_prob must lie in [0, 1]")
+        if self.exploration_noise < 0.0:
+            raise ConfigError("exploration_noise must be >= 0")
 
     def env_overrides(self):
-        out = {}
-        for key in ("horizon", "success_tolerance", "reward_convention", "action_noise_std"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The [env] keys other than the name that are set, as make_env kwargs."""
+        values = {key: getattr(self, key) for key in _ENV_KEYS if key != "name"}
+        return {key: value for key, value in values.items() if value is not None}
 
     def build_env(self):
         return make_env(self.env_name, **self.env_overrides())
@@ -216,10 +217,8 @@ def write_config(cfg, path):
     """Write the fully-resolved configuration back out as INI."""
     parser = configparser.ConfigParser()
     parser["env"] = {"name": cfg.env_name}
-    for key in ("horizon", "success_tolerance", "reward_convention", "action_noise_std"):
-        value = getattr(cfg, key)
-        if value is not None:
-            parser["env"][key] = str(value)
+    for key, value in cfg.env_overrides().items():
+        parser["env"][key] = str(value)
     parser["her"] = {
         "strategy": cfg.her.strategy,
         "relabel_ratio": repr(cfg.her.relabel_ratio),

@@ -36,14 +36,19 @@ def _cell_name(axis, value):
 def run_sweep(cfg, axis, values, sweep_dir):
     """Run every value; a failed cell is recorded and does not abort the sweep.
 
-    The summary is recomputed from the per-seed metrics files so it cannot
-    drift from the run records.
+    Every cell's config is built before any cell runs, so a value the
+    config rejects raises ConfigError with nothing trained. The summary is
+    recomputed from the per-seed metrics files so it cannot drift from the
+    run records.
     """
+    try:
+        cells = [apply_axis(cfg, axis, value) for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"sweep {axis}: {exc}") from exc
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        cell_cfg = apply_axis(cfg, axis, value)
+    for value, cell_cfg in zip(values, cells):
         cell_dir = sweep_dir / _cell_name(axis, value)
         try:
             run_training(cell_cfg, cell_dir)

@@ -100,16 +100,6 @@ class ReplayBatch:
     def __len__(self):
         return len(self.states)
 
-    def relabeled_subset(self):
-        """New batch containing only the relabeled samples."""
-        idx = np.flatnonzero(self.is_relabeled)
-        return ReplayBatch(
-            self.states[idx], self.actions[idx], self.next_states[idx],
-            self.original_goals[idx], self.goals[idx], self.rewards[idx],
-            self.is_relabeled[idx], self.t[idx], self.relabel_t[idx],
-            goal_table=self.goal_table[idx], goal_counts=self.goal_counts[idx],
-        )
-
 
 def first_visit_rows(goals, dedup_tol=0.0):
     """Indices of the goals kept by greedy first-visit deduplication.

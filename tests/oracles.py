@@ -7,6 +7,7 @@ second route rather than against itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -302,6 +303,43 @@ def per_block_update(agent, opts, buffer, her, rng):
                            for name, t in target.params().items()})
     if cfg.prior_source == "delayed_copy" and agent.global_step % cfg.tau_delay == 0:
         nets.delayed_actor.set_params({k: v.copy() for k, v in nets.actor.params().items()})
+
+
+def actor_term(actor, states, goals, term):
+    """One loss term on its own actor pass: the head on (states, goals), then
+    term(head) -> (loss, d_mean, d_log_std), then backward_from_head.
+    Returns (loss, dL/d(actor theta))."""
+    head, cache, raw = actor.head_cached(states, goals)
+    loss, d_mean, d_log_std = term(head)
+    grad, _ = actor.backward_from_head(cache, raw, d_mean, d_log_std)
+    return loss, grad
+
+
+def separate_pass_actor_loss(batch, priors, nets, cfg, rng, noise, prior_actions):
+    """actor_loss with each term on its own actor pass and backward: the task
+    term (actor_loss at alpha = beta = 0), HSR on (s, g_relabel) of the
+    relabeled samples, HGR on (s, g_orig) of every sample. The weighted
+    losses and gradients are summed. The reference for the fused pass, which
+    sums the head gradients before its one backward instead."""
+    from gchr.agent import actor_loss, hgr_loss, hsr_loss
+
+    loss, grad, parts = actor_loss(batch, None, nets, replace(cfg, alpha=0.0, beta=0.0), rng,
+                                   noise=noise)
+    rel = np.flatnonzero(batch.is_relabeled)
+    if cfg.alpha > 0.0 and len(rel):
+        value, term_grad = actor_term(nets.actor, batch.states[rel], batch.goals[rel],
+                                      lambda head: hsr_loss(head, batch.actions[rel]))
+        parts["hsr"] = value
+        loss += cfg.alpha * value
+        grad = grad + cfg.alpha * term_grad
+    if cfg.beta > 0.0:
+        value, term_grad = actor_term(
+            nets.actor, batch.states, batch.original_goals,
+            lambda head: hgr_loss(batch, priors, head, cfg, rng, prior_actions=prior_actions))
+        parts["hgr"] = value
+        loss += cfg.beta * value
+        grad = grad + cfg.beta * term_grad
+    return loss, grad, parts
 
 
 def geometric_tail(gamma, start):

@@ -1,9 +1,11 @@
+import csv
 import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gchr.harness.sweep as sweep
 import gchr.tabular_lab.report as tabular_report
 
 from gchr.agent import GchrAgent, GchrConfig, load_actor_from_checkpoint
@@ -22,6 +24,7 @@ from gchr.harness.cli import main
 from gchr.harness.config import _SECTIONS as config_sections
 from gchr.harness.loop import exploration_actions
 from gchr.nn.actor_critic import PolicyNet
+from gchr.replay import HerBuffer
 from gchr.tabular_lab import policy_evaluation_iterative
 
 from oracles import per_episode_collection, per_rollout_eval
@@ -243,6 +246,90 @@ def test_her_hindsight_goal_fraction_is_an_unknown_key(tmp_path, capsys):
     assert main(["train", "--set", "her.hindsight_goal_fraction=0.5",
                  "--output", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
+
+
+ONE_CYCLE = TINY_REACH + ["run.seeds=1", "run.epochs=1", "run.cycles_per_epoch=1"]
+
+
+def train_argv(run_dir, items):
+    argv = ["train", "--output", str(run_dir)]
+    for item in items:
+        argv += ["--set", item]
+    return argv
+
+
+def test_cli_train_succeeds_with_exit_0(tmp_path, capsys):
+    assert main(train_argv(tmp_path / "run", ONE_CYCLE)) == 0
+    assert "seed 1: final success" in capsys.readouterr().out
+    assert (tmp_path / "run" / "seed_1" / "checkpoint.ckpt").exists()
+
+
+BAD_VALUES = [
+    ["agent.prior_source=delayed_copy", "agent.tau_delay=0"],
+    ["agent.hidden_sizes=0"],
+    ["agent.hidden_sizes=16 0"],
+    ["agent.activation=bogus"],
+    ["agent.learning_rate=-1"],
+    ["agent.learning_rate=0"],
+    ["agent.entropy_coeff=-0.1"],
+    ["run.random_action_prob=1.5"],
+    ["run.random_action_prob=-0.1"],
+    ["run.exploration_noise=-0.1"],
+]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda items: items[-1])
+def test_cli_train_rejects_bad_values_before_the_run_with_exit_2(tmp_path, capsys, bad):
+    assert main(train_argv(tmp_path / "run", ONE_CYCLE + bad)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_sweep_builds_every_cell_before_any_runs(tmp_path, monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(sweep, "run_training", lambda cfg, run_dir: trained.append(run_dir))
+    argv = ["sweep", "--axis", "beta", "--values", "0.1,-1", "--output", str(tmp_path / "sw")]
+    assert main(argv) == 2
+    assert "sweep beta: alpha and beta must be non-negative" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "sw").exists()
+
+
+def test_cli_train_run_failure_exits_1(tmp_path, monkeypatch, capsys):
+    nan_losses = dict.fromkeys(("critic_loss", "actor_loss", "q_term", "hsr_loss", "hgr_loss"),
+                               float("nan"))
+    monkeypatch.setattr(GchrAgent, "update", lambda self, buffer, her, rng: nan_losses)
+    assert main(train_argv(tmp_path / "run", ONE_CYCLE)) == 1
+    assert "run failed: seed 1: non-finite loss" in capsys.readouterr().err
+    assert (tmp_path / "run" / "seed_1" / "FAILED").exists()
+
+
+def test_cli_dump_goals_writes_each_stored_episode_terminal_goal(tmp_path, monkeypatch):
+    stored = []
+    store = HerBuffer.store_trajectory
+
+    def recording(self, trajectory):
+        stored.append(trajectory)
+        return store(self, trajectory)
+
+    monkeypatch.setattr(HerBuffer, "store_trajectory", recording)
+    items = ONE_CYCLE + ["run.seeds=1 2", "run.dump_trajectories=true"]
+    assert main(train_argv(tmp_path / "run", items)) == 0
+    cfg = default_config(items)
+    horizon = make_env(cfg.env_name).spec.horizon
+    per_seed = (-(-cfg.warmup_steps // horizon)
+                + cfg.epochs * cfg.cycles_per_epoch * cfg.episodes_per_cycle)
+    assert len(stored) == 2 * per_seed  # the seeds train one after the other
+
+    assert main(["dump-goals", "--run-dir", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "terminal_goals.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["seed", "episode", "achieved_0", "achieved_1", "desired_0", "desired_1"]
+    assert len(rows) == len(stored)
+    for i, (row, trajectory) in enumerate(zip(rows, stored)):
+        assert row[:2] == [str(1 + i // per_seed), str(i % per_seed)]
+        values = [float(v) for v in row[2:]]
+        assert values == [*trajectory.achieved_goals[-1], *trajectory.desired_goal]
 
 
 def test_k_fraction_sweep_cell_sets_the_agent_key(tmp_path):

@@ -18,7 +18,13 @@ from gchr.agent import (
 from gchr.nn import Mlp, PolicyNet, gaussian_log_prob
 from gchr.replay import HerBuffer, HerConfig, ReplayBatch, Trajectory
 
-from oracles import finite_difference_grads, max_relative_grad_error, mixture_log_prob
+from oracles import (
+    actor_term,
+    finite_difference_grads,
+    max_relative_grad_error,
+    mixture_log_prob,
+    separate_pass_actor_loss,
+)
 
 STATE_DIM, GOAL_DIM, ACTION_DIM = 3, 2, 2
 
@@ -71,6 +77,19 @@ def with_params(net, params):
     clone = net.copy()
     clone.set_params(params)
     return clone
+
+
+def hsr_on(actor, batch):
+    """HSR on its own actor pass over the batch's (s, g) rows: (loss, gradient)."""
+    return actor_term(actor, batch.states, batch.goals,
+                      lambda head: hsr_loss(head, batch.actions))
+
+
+def hgr_on(actor, batch, priors, cfg, rng, prior_actions=None):
+    """HGR on its own actor pass over the batch's (s, g_orig) rows: (loss, gradient)."""
+    return actor_term(actor, batch.states, batch.original_goals,
+                      lambda head: hgr_loss(batch, priors, head, cfg, rng,
+                                            prior_actions=prior_actions))
 
 
 # -- critic -------------------------------------------------------------------
@@ -169,18 +188,11 @@ def test_critic_converges_to_td_fixed_point(rng):
 # -- hsr ----------------------------------------------------------------------
 
 
-def test_hsr_requires_relabeled_batch(rng):
-    nets = make_nets(small_cfg())
-    batch = make_batch(rng, relabeled="none")
-    with pytest.raises(ValueError, match="relabeled"):
-        hsr_loss(batch, nets.actor)
-
-
 def test_hsr_single_sample_is_negative_log_prob(rng):
     nets = make_nets(small_cfg())
     batch = make_batch(rng, n=1, relabeled="all")
-    loss, _ = hsr_loss(batch, nets.actor)
     head = nets.actor.head(batch.states, batch.goals)
+    loss, _, _ = hsr_loss(head, batch.actions)
     assert loss == pytest.approx(-float(gaussian_log_prob(head, batch.actions)[0]))
 
 
@@ -203,7 +215,7 @@ def test_hsr_loss_decreases_as_std_tightens():
             "w0": np.zeros((2, 2)),
             "b0": np.array([np.arctanh(0.4), log_std]),
         })
-        losses.append(hsr_loss(batch, actor)[0])
+        losses.append(hsr_on(actor, batch)[0])
     assert losses == sorted(losses, reverse=True)
 
 
@@ -220,14 +232,14 @@ def test_hsr_gradient_closed_form_unsquashed_gaussian(rng):
         t=np.zeros(16, dtype=int), relabel_t=np.zeros(16, dtype=int),
         goal_sets=[np.zeros((1, 1))] * 16,
     )
-    _, grad = hsr_loss(batch, actor)
+    _, grad = hsr_on(actor, batch)
     grads = actor.params(grad)
     sigma2 = np.exp(2 * log_std_bias)
     closed_form = float(np.mean((mean_bias - actions) / sigma2))
     assert grads["b0"][0] == pytest.approx(closed_form, rel=1e-12)
 
     def loss_fn(params):
-        return hsr_loss(batch, with_params(actor, params))[0]
+        return hsr_on(with_params(actor, params), batch)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in actor.params().items()})
     assert max_relative_grad_error(grads, fd) <= 1e-4
@@ -236,10 +248,10 @@ def test_hsr_gradient_closed_form_unsquashed_gaussian(rng):
 def test_hsr_gradients_match_finite_differences_squashed(rng):
     nets = make_nets(small_cfg())
     batch = make_batch(rng, relabeled="all")
-    _, analytic = hsr_loss(batch, nets.actor)
+    _, analytic = hsr_on(nets.actor, batch)
 
     def loss_fn(params):
-        return hsr_loss(batch, with_params(nets.actor, params))[0]
+        return hsr_on(with_params(nets.actor, params), batch)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
     assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
@@ -462,7 +474,7 @@ def _self_case_gradient_norm(m, seed):
     priors = BatchedHgrPriors(batch.states, np.zeros((1, 1, 1)), np.array([1]), prior_net)
     rng = np.random.default_rng(seed)
     actions = priors.sample_actions(m, rng)
-    value, grad = hgr_loss(batch, priors, actor, cfg, rng, prior_actions=actions)
+    value, grad = hgr_on(actor, batch, priors, cfg, rng, prior_actions=actions)
     norm = np.sqrt(sum(float((g**2).sum()) for g in actor.params(grad).values()))
     return value, norm, actions, actor
 
@@ -492,8 +504,8 @@ def test_hgr_mismatched_prior_costs_more_than_matched(rng):
     far_net = unit_gaussian_actor(6.0, squash=False)
     far = BatchedHgrPriors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.array([1]), far_net)
     batch = one_element_batch(np.zeros((1, 1)))
-    near_loss, _ = hgr_loss(batch, near, actor, cfg, np.random.default_rng(0))
-    far_loss, _ = hgr_loss(batch, far, actor, cfg, np.random.default_rng(0))
+    near_loss, _ = hgr_on(actor, batch, near, cfg, np.random.default_rng(0))
+    far_loss, _ = hgr_on(actor, batch, far, cfg, np.random.default_rng(0))
     assert far_loss > near_loss + 1.0
 
 
@@ -509,7 +521,7 @@ def test_hgr_recovers_closed_form_gaussian_kl():
         batch = one_element_batch(np.zeros((1, 1)))
         rng = np.random.default_rng(int(gap * 10) + 7)
         actions = priors.sample_actions(m, rng)
-        cross_entropy, _ = hgr_loss(batch, priors, actor, cfg, rng, prior_actions=actions)
+        cross_entropy, _ = hgr_on(actor, batch, priors, cfg, rng, prior_actions=actions)
         logps = gaussian_log_prob(actor.head(np.zeros((m, 1)), np.zeros((m, 1))),
                                   actions.reshape(m, 1))
         stderr = float(logps.std(ddof=1) / np.sqrt(m))
@@ -524,11 +536,11 @@ def test_hgr_gradients_match_finite_differences(rng):
     batch = make_batch(rng, n=5)
     priors = build_hgr_priors_batch(batch, nets, cfg, rng)
     frozen = priors.sample_actions(3, rng)
-    _, analytic = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
+    _, analytic = hgr_on(nets.actor, batch, priors, cfg, rng, prior_actions=frozen)
 
     def loss_fn(params):
-        return hgr_loss(batch, priors, with_params(nets.actor, params), cfg, rng,
-                        prior_actions=frozen)[0]
+        return hgr_on(with_params(nets.actor, params), batch, priors, cfg, rng,
+                      prior_actions=frozen)[0]
 
     fd = finite_difference_grads(loss_fn, {k: v.copy() for k, v in nets.actor.params().items()})
     assert max_relative_grad_error(nets.actor.params(analytic), fd) <= 1e-4
@@ -560,7 +572,7 @@ def test_hgr_gradient_unbiased_for_forward_kl(rng):
     samples = {name: [] for name in true_grads}
     for r in range(runs):
         run_rng = np.random.default_rng(1000 + r)
-        _, grad = hgr_loss(batch, priors, actor, cfg, run_rng)
+        _, grad = hgr_on(actor, batch, priors, cfg, run_rng)
         for name, g in actor.params(grad).items():
             samples[name].append(g)
     for name in true_grads:
@@ -585,12 +597,9 @@ def test_actor_loss_decomposes_exactly(rng):
 
     loss_full, _, parts = actor_loss(batch, priors, nets, cfg, rng,
                                      noise=noise, prior_actions=frozen)
-    cfg_bare = small_cfg(alpha=0.0, beta=0.0)
-    loss_bare, _, _ = actor_loss(batch, None, nets, cfg_bare, rng, noise=noise)
-    hsr_val, _ = hsr_loss(batch.relabeled_subset(), nets.actor)
-    hgr_val, _ = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
-    assert loss_full == loss_bare + 0.7 * hsr_val + 0.4 * hgr_val
-    assert parts["hsr"] == hsr_val and parts["hgr"] == hgr_val
+    loss_ref, _, ref = separate_pass_actor_loss(batch, priors, nets, cfg, rng, noise, frozen)
+    assert loss_full == loss_ref
+    assert parts == ref and ref["hsr"] != 0.0 and ref["hgr"] != 0.0
 
 
 @pytest.mark.parametrize("unrelabeled_goal_moved", [False, True])
@@ -611,10 +620,8 @@ def test_fused_actor_pass_matches_separate_terms(rng, monkeypatch, unrelabeled_g
     frozen = priors.sample_actions(cfg.prior_mc_samples, rng)
 
     _, fused, _ = actor_loss(batch, priors, nets, cfg, rng, noise=noise, prior_actions=frozen)
-    _, task, _ = actor_loss(batch, None, nets, small_cfg(alpha=0.0, beta=0.0), rng, noise=noise)
-    _, hsr = hsr_loss(batch.relabeled_subset(), nets.actor)
-    _, hgr = hgr_loss(batch, priors, nets.actor, cfg, rng, prior_actions=frozen)
-    np.testing.assert_allclose(fused, task + 0.7 * hsr + 0.4 * hgr, rtol=1e-10)
+    _, separate, _ = separate_pass_actor_loss(batch, priors, nets, cfg, rng, noise, frozen)
+    np.testing.assert_allclose(fused, separate, rtol=1e-10)
 
     # one update runs the actor network forward and backward exactly once
     agent = GchrAgent(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=1)
