@@ -18,7 +18,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 
 from ..agent import GchrConfig
-from ..envs import ENV_REGISTRY, make_env
+from ..envs import make_env
 from ..replay import HerConfig
 
 
@@ -47,8 +47,6 @@ class ExperimentConfig:
     dump_trajectories: bool = False
 
     def __post_init__(self):
-        if self.env_name not in ENV_REGISTRY:
-            raise ConfigError(f"unknown environment {self.env_name!r}")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list of distinct integers")
         for name in ("epochs", "cycles_per_epoch", "episodes_per_cycle", "eval_rollouts"):
@@ -60,6 +58,10 @@ class ExperimentConfig:
             raise ConfigError("random_action_prob must lie in [0, 1]")
         if self.exploration_noise < 0.0:
             raise ConfigError("exploration_noise must be >= 0")
+        try:
+            self.build_env()  # the name and spec checks training runs
+        except ValueError as exc:
+            raise ConfigError(f"[env] {exc}") from exc
 
     def env_overrides(self):
         """The [env] keys other than the name that are set, as make_env kwargs."""

@@ -19,7 +19,7 @@ from .supports import (
     hgr_support_table,
     hsr_support_table,
 )
-from .via_goal import via_goal_tensor
+from .via_goal import via_goal_factors, via_goal_slice
 
 __all__ = [
     "ReachabilityCertificate",
@@ -50,5 +50,6 @@ __all__ = [
     "behavior_clone",
     "hgr_support_table",
     "hsr_support_table",
-    "via_goal_tensor",
+    "via_goal_factors",
+    "via_goal_slice",
 ]

@@ -6,6 +6,11 @@ sweep the checker recomputes every via-goal value and both of its factors
 (subgoal hitting probability, first-hit-weighted downstream value) and
 records the worst per-sweep change. The pointwise claim is verified
 directly; the uniform-goal-weighted average is reported alongside.
+
+Memory is O(S*G + S^2), not O(S*G^2): each sweep keeps only its
+`via_goal_factors` and its (S, G) values, and the margins walk the subgoals
+one (S, G) slice of each sweep at a time. The goal sets are disjoint, so one
+(S, S) array holds every subgoal's first-hit distribution (see via_goal).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .assumption import check_assumption_uniform_reachability
 from .policy import TabularPolicy
 from .solve import policy_iteration_step
-from .via_goal import via_goal_tensor
+from .via_goal import via_goal_factors, via_goal_slice
 
 
 @dataclass
@@ -63,34 +68,13 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
     for _ in range(max(1, n_iterations)):
         # one exact solve per goal serves both the improvement and the via values
         improved, values = policy_iteration_step(mdp, policy)
-        v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, values)
-        weighted = v_via @ goal_weights
+        current = (via_goal_factors(mdp, policy), values)
         if prev is not None:
-            both_defined = prev["defined"] & defined
-            via_diff = float(np.min(v_via - prev["v_via"]))
-            hit_diff = float(np.min(p_hit - prev["p_hit"]))
-            if np.any(both_defined):
-                mask = both_defined[:, None, :]
-                down_diff = float(
-                    np.min((downstream - prev["downstream"])[np.broadcast_to(mask, downstream.shape)])
-                )
-            else:
-                down_diff = 0.0
-            weighted_diff = float(np.min(weighted - prev["weighted"]))
-            per_sweep.append(
-                {"via": via_diff, "hit": hit_diff, "down": down_diff, "weighted": weighted_diff}
-            )
-            mins["via"] = min(mins["via"], via_diff)
-            mins["hit"] = min(mins["hit"], hit_diff)
-            mins["down"] = min(mins["down"], down_diff)
-            mins["weighted"] = min(mins["weighted"], weighted_diff)
-        prev = {
-            "v_via": v_via,
-            "p_hit": p_hit,
-            "downstream": downstream,
-            "defined": defined,
-            "weighted": weighted,
-        }
+            diffs = _sweep_margins(mdp, prev, current, goal_weights)
+            per_sweep.append(diffs)
+            for key, diff in diffs.items():
+                mins[key] = min(mins[key], diff)
+        prev = current
         policy = improved
 
     if not per_sweep:  # single evaluation: trivially monotone
@@ -105,3 +89,28 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
         per_sweep=per_sweep,
         certificates=certificates,
     )
+
+
+def _sweep_margins(mdp, prev, current, goal_weights):
+    """The four worst changes from one sweep's (factors, values) to the next,
+    one subgoal slice of each at a time."""
+    (prev_factors, prev_values), (factors, values) = prev, current
+    prev_defined, defined = prev_factors[1], factors[1]
+    via_diff = down_diff = np.inf
+    prev_weighted = np.zeros_like(values)
+    weighted = np.zeros_like(values)
+    for sub in range(len(goal_weights)):
+        prev_down, prev_via = via_goal_slice(mdp, prev_factors, prev_values, sub)
+        down, via = via_goal_slice(mdp, factors, values, sub)
+        via_diff = min(via_diff, float(np.min(via - prev_via)))
+        both_defined = prev_defined[:, sub] & defined[:, sub]
+        if np.any(both_defined):
+            down_diff = min(down_diff, float(np.min((down - prev_down)[both_defined])))
+        prev_weighted += prev_via * goal_weights[sub]
+        weighted += via * goal_weights[sub]
+    return {
+        "via": via_diff,
+        "hit": float(np.min(factors[0] - prev_factors[0])),
+        "down": 0.0 if down_diff == np.inf else down_diff,
+        "weighted": float(np.min(weighted - prev_weighted)),
+    }

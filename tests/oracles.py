@@ -367,8 +367,8 @@ def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_00
 
 def occupancy_via_goal_tensor(mdp, policy):
     """Via-goal tensor assembled from one full compute_occupancy table per
-    subgoal: the reference for via_goal_tensor, which skips the (S, A, S)
-    occupancy. Returns (v_via, p_hit, downstream, defined)."""
+    subgoal: the reference for via_goal_factors and via_goal_slice, which
+    skip the (S, A, S) occupancy. Returns (v_via, p_hit, downstream, defined)."""
     from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
     from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
 
@@ -388,10 +388,67 @@ def occupancy_via_goal_tensor(mdp, policy):
     return p_hit[:, None, :] * downstream, p_hit, downstream, defined
 
 
+def via_goal_tensor(mdp, policy, values):
+    """All via-goal values at once as dense (S, G, G') tensors, one dense
+    first_hit @ values product per subgoal: the reference for the streamed
+    via_goal_factors / via_goal_slice pair. `values` (S, G) are the policy's
+    exact per-goal values. Returns (v_via, p_hit, downstream, defined)."""
+    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR, goal_hitting
+
+    n_goals = policy.n_goals
+    n_states = mdp.n_states
+    p_hit = np.empty((n_states, n_goals))
+    defined = np.empty((n_states, n_goals), dtype=bool)
+    downstream = np.zeros((n_states, n_goals, n_goals))
+    for sub in range(n_goals):
+        _, _, p_hit[:, sub], first_hit, hit_mass = goal_hitting(mdp, policy, sub)
+        defined[:, sub] = hit_mass > HIT_MASS_FLOOR
+        downstream[:, :, sub] = first_hit @ values
+    downstream *= defined[:, None, :]
+    v_via = p_hit[:, None, :] * downstream
+    return v_via, p_hit, downstream, defined
+
+
+def tensor_theorem2_margins(mdp, n_iterations, goal_weights=None, initial_policy=None):
+    """The Theorem 2 margins from whole (S, G, G') tensors of consecutive
+    policy-iteration sweeps: the reference for the streamed
+    check_theorem2_monotonicity. Returns one {"via", "hit", "down",
+    "weighted"} dict of worst changes per sweep pair."""
+    from gchr.tabular_lab import TabularPolicy, policy_iteration_step
+
+    n_goals = mdp.n_goals
+    if goal_weights is None:
+        goal_weights = np.full(n_goals, 1.0 / n_goals)
+    policy = initial_policy or TabularPolicy.uniform(mdp.n_states, n_goals, mdp.n_actions)
+    per_sweep = []
+    prev = None
+    for _ in range(max(1, n_iterations)):
+        improved, values = policy_iteration_step(mdp, policy)
+        v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, values)
+        weighted = v_via @ goal_weights
+        if prev is not None:
+            both_defined = prev["defined"] & defined
+            if np.any(both_defined):
+                mask = np.broadcast_to(both_defined[:, None, :], downstream.shape)
+                down_diff = float(np.min((downstream - prev["downstream"])[mask]))
+            else:
+                down_diff = 0.0
+            per_sweep.append({
+                "via": float(np.min(v_via - prev["v_via"])),
+                "hit": float(np.min(p_hit - prev["p_hit"])),
+                "down": down_diff,
+                "weighted": float(np.min(weighted - prev["weighted"])),
+            })
+        prev = {"v_via": v_via, "p_hit": p_hit, "downstream": downstream,
+                "defined": defined, "weighted": weighted}
+        policy = improved
+    return per_sweep
+
+
 def via_goal_components(mdp, policy, s, goal, subgoal):
     """(hit probability, downstream value, defined flag) for one (s, g, g'),
     from one full compute_occupancy table and one direct solve: the scalar
-    route to one entry of via_goal_tensor."""
+    route to one via-goal value and its factors."""
     from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
     from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
 

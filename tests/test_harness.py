@@ -275,6 +275,9 @@ BAD_VALUES = [
     ["run.random_action_prob=1.5"],
     ["run.random_action_prob=-0.1"],
     ["run.exploration_noise=-0.1"],
+    ["env.horizon=0"],
+    ["env.action_noise_std=-1"],
+    ["env.success_tolerance=-1"],
 ]
 
 
@@ -292,6 +295,16 @@ def test_cli_sweep_builds_every_cell_before_any_runs(tmp_path, monkeypatch, caps
     argv = ["sweep", "--axis", "beta", "--values", "0.1,-1", "--output", str(tmp_path / "sw")]
     assert main(argv) == 2
     assert "sweep beta: alpha and beta must be non-negative" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_rejects_a_bad_env_value_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(sweep, "run_training", lambda cfg, run_dir: trained.append(run_dir))
+    argv = ["sweep", "--axis", "action_noise", "--values", "0.1,-1",
+            "--output", str(tmp_path / "sw")]
+    assert main(argv) == 2
+    assert "action_noise_std must be non-negative" in capsys.readouterr().err
     assert trained == [] and not (tmp_path / "sw").exists()
 
 

@@ -9,13 +9,15 @@ from gchr.tabular_lab import (
     grid_cells,
     make_gridworld,
     policy_evaluation_direct,
-    via_goal_tensor,
+    via_goal_factors,
+    via_goal_slice,
 )
 
 from oracles import (
     mc_via_goal,
     occupancy_via_goal_tensor,
     via_goal_components,
+    via_goal_tensor,
     via_goal_value,
 )
 
@@ -26,6 +28,17 @@ def exact_values(mdp, policy):
     """(S, G) values of every goal slice, one direct solve per goal."""
     return np.stack([policy_evaluation_direct(mdp, policy, g)[1] for g in range(policy.n_goals)],
                     axis=1)
+
+
+def stacked_slices(mdp, policy, values):
+    """Every subgoal's via_goal_slice stacked on a last axis, in the layout
+    (v_via, p_hit, downstream, defined) of the dense tensor oracle."""
+    factors = via_goal_factors(mdp, policy)
+    slices = [via_goal_slice(mdp, factors, values, sub) for sub in range(policy.n_goals)]
+    downstream = np.stack([down for down, _ in slices], axis=2)
+    v_via = np.stack([via for _, via in slices], axis=2)
+    p_hit, defined, _ = factors
+    return v_via, p_hit, downstream, defined
 
 
 def test_single_path_case_is_gamma_times_downstream_value():
@@ -77,7 +90,7 @@ def test_gridworld_matches_monte_carlo_rollout_oracle(rng):
 def test_tensor_agrees_with_scalar_op(rng):
     mdp = make_gridworld(3, 3, gamma=0.85, slip=0.2)
     policy = TabularPolicy.random(9, 9, 4, rng)
-    v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
+    v_via, p_hit, downstream, defined = stacked_slices(mdp, policy, exact_values(mdp, policy))
     for s in [0, 4, 8]:
         for g in [1, 6]:
             for sub in [0, 3, 8]:
@@ -95,7 +108,7 @@ def test_hit_probability_equals_one_minus_gamma_times_value(rng):
     # p(g'|s) = (1 - gamma) V(s, g'): the identity Theorem 2's first factor uses
     mdp = make_gridworld(4, 3, gamma=0.9, slip=0.1)
     policy = TabularPolicy.random(12, 12, 4, rng)
-    _, p_hit, _, _ = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
+    _, p_hit, _, _ = stacked_slices(mdp, policy, exact_values(mdp, policy))
     for sub in range(12):
         _, v = policy_evaluation_direct(mdp, policy, sub)
         np.testing.assert_allclose(p_hit[:, sub], (1 - 0.9) * v, atol=1e-10)
@@ -108,10 +121,34 @@ def test_tensor_matches_reference_built_from_occupancy_tables(rng):
     n_states = len(grid_cells(4, 3, walls))
     mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
     policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
-    got = via_goal_tensor(mdp, policy, exact_values(mdp, policy))
+    got = stacked_slices(mdp, policy, exact_values(mdp, policy))
     want = occupancy_via_goal_tensor(mdp, policy)
     defined = want[3]
     assert defined.any() and not defined.all()
     np.testing.assert_array_equal(got[3], defined)
     for g, w in zip(got[:3], want[:3]):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+
+def test_slices_equal_the_dense_tensor_on_single_state_goal_sets(rng):
+    # one state per goal set: each slice's product has one term, so it is
+    # bit-identical to the dense first_hit @ values route
+    mdp = make_gridworld(4, 3, gamma=0.9, slip=0.2)
+    policy = TabularPolicy.random(12, 12, 4, rng)
+    values = exact_values(mdp, policy)
+    for got, want in zip(stacked_slices(mdp, policy, values), via_goal_tensor(mdp, policy, values)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_hits_column_holds_its_subgoals_first_hit_distribution(rng):
+    from gchr.tabular_lab import compute_occupancy
+
+    walls = [(1, 0), (1, 1), (1, 2)]
+    n_states = len(grid_cells(4, 3, walls))
+    mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
+    policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
+    _, _, hits = via_goal_factors(mdp, policy)
+    for sub in range(mdp.n_goals):
+        first_hit = compute_occupancy(mdp, policy, sub).first_hit
+        states = mdp.goal_states(sub)
+        np.testing.assert_array_equal(hits[:, states], first_hit[:, states])

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Training-output digests: sha256 of metrics.csv and checkpoint.ckpt.
+"""Output digests: sha256 of training outputs and of tabular-lab reports.
 
     python3 tools/output_digests.py
 
 Trains seed 1 of four fixed configs, each in a fresh temporary directory,
 and prints one line per config: its name, the digest of metrics.csv and the
-digest of checkpoint.ckpt. A change that must keep training output
-byte-identical prints the same lines before and after. The configs are the
-benchmark's two training workloads (their overrides are read from
-perfbench/workloads.py) plus two small ones that reach the tanh, delayed
-copy, K-fraction, action-noise and entropy paths the workloads leave at
-their defaults.
+digest of checkpoint.ckpt. The configs are the benchmark's two training
+workloads (their overrides are read from perfbench/workloads.py) plus two
+small ones that reach the tanh, delayed copy, K-fraction, action-noise and
+entropy paths the workloads leave at their defaults.
+
+Then runs verify_tabular, as `gchr tabular-verify` does, on the benchmark's
+lab gridworld (LAB_GRID in perfbench/workloads.py) for seeds 1-5 and on
+assets/chain3.mdp for seeds 0-5, and prints one line per MDP and seed: its
+name, the seed and the digest of the report CSV.
+
+A change that must keep training output and lab reports byte-identical
+prints the same lines before and after.
 """
 
 import os
@@ -27,8 +33,10 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from gchr.envs import load_tabular_mdp  # noqa: E402
 from gchr.harness import default_config, train_seed  # noqa: E402
-from workloads import TRAIN_OVERRIDES  # noqa: E402
+from gchr.tabular_lab import make_gridworld, verify_tabular, write_report_csv  # noqa: E402
+from workloads import LAB_GRID, TRAIN_OVERRIDES  # noqa: E402
 
 CONFIGS = {
     **TRAIN_OVERRIDES,
@@ -43,6 +51,10 @@ CONFIGS = {
     ],
 }
 SEED = 1
+LAB_MDPS = {
+    "lab_grid": (lambda: make_gridworld(**LAB_GRID), range(1, 6)),
+    "chain3": (lambda: load_tabular_mdp(ROOT / "assets" / "chain3.mdp"), range(0, 6)),
+}
 
 
 def sha256(path):
@@ -56,6 +68,12 @@ def main():
             train_seed(default_config(overrides), SEED, run_dir)
             print(name, sha256(run_dir / "metrics.csv"), sha256(run_dir / "checkpoint.ckpt"),
                   flush=True)
+        for name, (build, seeds) in LAB_MDPS.items():
+            mdp = build()
+            for seed in seeds:
+                report = Path(tmp) / f"{name}_{seed}.csv"
+                write_report_csv(verify_tabular(mdp, seed=seed), report)
+                print(name, f"seed={seed}", sha256(report), flush=True)
     return 0
 
 
