@@ -68,20 +68,6 @@ class TabularGCMDP:
         """States s with phi(s) = goal."""
         return np.flatnonzero(self.phi == goal)
 
-    def step_distribution(self, s, a, goal):
-        """Next-state distribution for (s, a) under an evaluated goal.
-
-        Goal-satisfying states self-loop when absorbing_goals is set; other
-        states keep their raw row.
-        """
-        if not (0 <= s < self.n_states and 0 <= a < self.n_actions):
-            raise IndexError(f"state/action ({s}, {a}) out of range")
-        if self.absorbing_goals and self.phi[s] == goal:
-            row = np.zeros(self.n_states)
-            row[s] = 1.0
-            return row
-        return self.transitions[s, a].copy()
-
     def effective_transitions(self, goal):
         """Full (S, A, S) tensor with the absorbing override applied."""
         p = self.transitions.copy()

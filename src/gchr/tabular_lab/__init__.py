@@ -1,7 +1,7 @@
 from .assumption import ReachabilityCertificate, check_assumption_uniform_reachability
 from .gridworld import grid_cells, make_gridworld, random_mdp, random_walk_log
 from .monotonic import MonotonicityReport, check_theorem2_monotonicity
-from .occupancy import OccupancyTable, compute_occupancy, q_from_occupancy, v_from_occupancy
+from .occupancy import OccupancyTable, compute_occupancy, q_from_occupancy
 from .policy import TabularPolicy
 from .report import CheckResult, format_report, verify_tabular, write_report_csv
 from .solve import (
@@ -14,7 +14,6 @@ from .solve import (
 )
 from .supports import (
     achieved_goals_in_logs,
-    action_supports,
     behavior_clone,
     hgr_support_table,
     hsr_support_table,
@@ -33,7 +32,6 @@ __all__ = [
     "OccupancyTable",
     "compute_occupancy",
     "q_from_occupancy",
-    "v_from_occupancy",
     "TabularPolicy",
     "CheckResult",
     "format_report",
@@ -46,7 +44,6 @@ __all__ = [
     "policy_transition_matrix",
     "reward_vector",
     "achieved_goals_in_logs",
-    "action_supports",
     "behavior_clone",
     "hgr_support_table",
     "hsr_support_table",

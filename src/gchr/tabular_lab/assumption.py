@@ -51,14 +51,15 @@ def _reachable_from(adjacency, start):
 
 def check_assumption_uniform_reachability(mdp, policy, goal, delta):
     goal_states = mdp.goal_states(goal)
-    adjacency = mdp.transitions.max(axis=1) > 0.0  # edge if any action can move there
 
     unreachable = []
-    for s in goal_states:
-        seen = _reachable_from(adjacency, int(s))
-        for t in goal_states:
-            if not seen[t]:
-                unreachable.append((int(s), int(t)))
+    if len(goal_states) > 1:  # a lone goal state reaches itself at step 0
+        adjacency = mdp.transitions.max(axis=1) > 0.0  # edge if any action can move there
+        for s in goal_states:
+            seen = _reachable_from(adjacency, int(s))
+            for t in goal_states:
+                if not seen[t]:
+                    unreachable.append((int(s), int(t)))
     part1_ok = not unreachable
 
     spread_violations = []

@@ -68,7 +68,7 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
     for _ in range(max(1, n_iterations)):
         # one exact solve per goal serves both the improvement and the via values
         improved, values = policy_iteration_step(mdp, policy)
-        current = (via_goal_factors(mdp, policy), values)
+        current = (via_goal_factors(mdp, policy, values), values)
         if prev is not None:
             diffs = _sweep_margins(mdp, prev, current, goal_weights)
             per_sweep.append(diffs)

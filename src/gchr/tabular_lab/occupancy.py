@@ -42,62 +42,52 @@ class OccupancyTable:
 
 def compute_occupancy(mdp, policy, goal):
     """Solve the discounted visitation linear system exactly for one goal."""
-    resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass = goal_hitting(
-        mdp, policy, goal
-    )
-    gamma = mdp.gamma
-    n = mdp.n_states
-    p_eff = mdp.effective_transitions(goal)
-    reach = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
-    d = (1.0 - gamma) * (np.eye(n)[:, None, :] + gamma * reach)
-    p_goal = d[:, :, mdp.goal_states(goal)].sum(axis=2)
-    return OccupancyTable(
-        goal=goal,
-        gamma=gamma,
-        d=d,
-        d_marginal=d_marginal,
-        p_goal=p_goal,
-        p_goal_marginal=p_goal_marginal,
-        first_hit=first_hit,
-        hit_mass=hit_mass,
-    )
-
-
-def goal_hitting(mdp, policy, goal):
-    """Everything about one goal but the (S, A, S) occupancy.
-
-    Returns (resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass),
-    where resolvent = (I - gamma P_pi)^-1 and d_marginal = (1 - gamma) times it.
-    """
     if not mdp.absorbing_goals:
         raise ValueError("occupancies are defined on the goal-absorbing formulation")
     gamma = mdp.gamma
     n = mdp.n_states
     p_pi = policy_transition_matrix(mdp, policy, goal)
     resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
-    d_marginal = (1.0 - gamma) * resolvent
     goal_states = mdp.goal_states(goal)
-    p_goal_marginal = d_marginal[:, goal_states].sum(axis=1)
-    first_hit, hit_mass = _first_hit(mdp, p_pi, goal_states, gamma)
-    return resolvent, d_marginal, p_goal_marginal, first_hit, hit_mass
+    first_hit, hit_mass = first_hit_distribution(p_pi, goal_states, gamma)
+    p_eff = mdp.effective_transitions(goal)
+    # d = (1 - gamma) * (I + gamma * P_eff R), built in the product's buffer
+    d = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
+    d *= gamma
+    d[np.arange(n), :, np.arange(n)] += 1.0
+    d *= 1.0 - gamma
+    d_marginal = resolvent
+    d_marginal *= 1.0 - gamma  # (1 - gamma) R, in the resolvent's buffer
+    return OccupancyTable(
+        goal=goal,
+        gamma=gamma,
+        d=d,
+        d_marginal=d_marginal,
+        p_goal=d[:, :, goal_states].sum(axis=2),
+        p_goal_marginal=d_marginal[:, goal_states].sum(axis=1),
+        first_hit=first_hit,
+        hit_mass=hit_mass,
+    )
 
 
-def _first_hit(mdp, p_pi, goal_states, gamma):
-    n = mdp.n_states
+def first_hit_distribution(p_pi, goal_states, gamma):
+    """(first_hit (S, S), hit_mass (S,)) toward `goal_states` under the
+    goal-absorbing P_pi: one taboo solve on the states outside the goal set,
+    with one right-hand side per goal state."""
+    n = p_pi.shape[0]
     in_goal = np.zeros(n, dtype=bool)
     in_goal[goal_states] = True
     outside = np.flatnonzero(~in_goal)
-    raw = np.zeros((n, n))
-    for s in goal_states:
-        raw[s, s] = 1.0  # first arrival at time 0
+    first_hit = np.zeros((n, n))
+    first_hit[goal_states, goal_states] = 1.0  # first arrival at time 0
     if outside.size:
         a = np.eye(outside.size) - gamma * p_pi[np.ix_(outside, outside)]
         b = gamma * p_pi[np.ix_(outside, goal_states)]
-        raw[np.ix_(outside, goal_states)] = np.linalg.solve(a, b)
-    hit_mass = raw.sum(axis=1)
-    first_hit = np.zeros_like(raw)
+        first_hit[np.ix_(outside, goal_states)] = np.linalg.solve(a, b)
+    hit_mass = first_hit.sum(axis=1)
     reachable = hit_mass > HIT_MASS_FLOOR
-    first_hit[reachable] = raw[reachable] / hit_mass[reachable, None]
+    first_hit[reachable] /= hit_mass[reachable, None]
+    first_hit[~reachable] = 0.0
     return first_hit, hit_mass
 
 
@@ -107,8 +97,3 @@ def q_from_occupancy(table, s=None, a=None):
     if s is None:
         return q
     return q[s] if a is None else float(q[s, a])
-
-
-def v_from_occupancy(table, s=None):
-    v = table.p_goal_marginal / (1.0 - table.gamma)
-    return v if s is None else float(v[s])

@@ -68,11 +68,3 @@ def hgr_support_table(prior_policy, achieved, threshold=1e-6):
     if not np.any(achieved):
         return np.zeros((prior_policy.n_states, prior_policy.n_actions), dtype=bool)
     return np.any(prior_policy.probs[:, achieved, :] > threshold, axis=1)
-
-
-def action_supports(logs, mdp, prior_policy, s, g, threshold=1e-6):
-    """(HSR action set, HGR action set) for one queried (state, goal) pair."""
-    hsr = hsr_support_table(logs, mdp.phi, mdp.n_goals, mdp.n_actions)
-    achieved = achieved_goals_in_logs(logs, mdp.phi, mdp.n_goals)
-    hgr = hgr_support_table(prior_policy, achieved, threshold)
-    return set(np.flatnonzero(hsr[s, g])), set(np.flatnonzero(hgr[s]))

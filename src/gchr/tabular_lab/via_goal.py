@@ -7,6 +7,17 @@ policy slice for g' in the g'-absorbing MDP; the downstream value V(., g)
 under the slice for g in the g-absorbing MDP. Unreachable subgoals
 contribute zero.
 
+The hitting probability is the goal density of the occupancy, and with the
+0/1 goal-absorbing reward that is p(g' | s) = (1 - gamma) V(s, g'). So it is
+read off the values the policy-iteration sweep has already solved, and the
+only per-subgoal solve left is the first-hit one: the taboo system on the
+states outside S_g', with |S_g'| right-hand sides, not the full resolvent
+(I - gamma P_pi)^-1 with S of them. The two routes to p agree within about
+1e-15. The values themselves stay with the direct solve: the same first-hit
+solve's total mass also equals (1 - gamma) V, within about 2e-14, but values
+taken from it flip greedy ties between equal-valued actions, and that would
+change the sequence of improved policies the check walks.
+
 The full (S, G, G') tensor is never built. phi maps each state to one goal,
 so the goal sets S_g' partition the states, and a first-hit distribution is
 exactly 0 outside its goal set: every subgoal's first-hit columns fit in one
@@ -19,29 +30,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .occupancy import HIT_MASS_FLOOR, goal_hitting
+from .occupancy import HIT_MASS_FLOOR, first_hit_distribution
+from .solve import policy_transition_matrix
 
 
-def via_goal_factors(mdp, policy):
-    """The subgoal-side factors of every via-goal value, one hitting solve
-    per subgoal.
+def via_goal_factors(mdp, policy, values):
+    """The subgoal-side factors of every via-goal value, one first-hit solve
+    per subgoal. `values` (S, G) are the policy's exact per-goal values, as
+    policy_iteration_step returns them.
 
     Returns (p_hit, defined, hits):
-        p_hit   (S, G') subgoal hitting probabilities
+        p_hit   (S, G') subgoal hitting probabilities, (1 - gamma) * values
         defined (S, G') True where the first-hit distribution exists
         hits    (S, S)  column s' is first_hit(s' | ., phi(s'))
     """
-    n_goals = policy.n_goals
     n_states = mdp.n_states
-    p_hit = np.empty((n_states, n_goals))
-    defined = np.empty((n_states, n_goals), dtype=bool)
+    defined = np.empty((n_states, policy.n_goals), dtype=bool)
     hits = np.zeros((n_states, n_states))
-    for sub in range(n_goals):
-        _, _, p_hit[:, sub], first_hit, hit_mass = goal_hitting(mdp, policy, sub)
-        defined[:, sub] = hit_mass > HIT_MASS_FLOOR
+    for sub in range(policy.n_goals):
         states = mdp.goal_states(sub)
+        p_pi = policy_transition_matrix(mdp, policy, sub)
+        first_hit, hit_mass = first_hit_distribution(p_pi, states, mdp.gamma)
+        defined[:, sub] = hit_mass > HIT_MASS_FLOOR
         hits[:, states] = first_hit[:, states]
-    return p_hit, defined, hits
+    return (1.0 - mdp.gamma) * values, defined, hits
 
 
 def via_goal_slice(mdp, factors, values, sub):

@@ -342,6 +342,37 @@ def separate_pass_actor_loss(batch, priors, nets, cfg, rng, noise, prior_actions
     return loss, grad, parts
 
 
+def step_distribution(mdp, s, a, goal):
+    """Next-state distribution of one (s, a) under an evaluated goal, read
+    row by row: a goal-satisfying state self-loops when absorbing_goals is
+    set; any other state keeps its raw row."""
+    if not (0 <= s < mdp.n_states and 0 <= a < mdp.n_actions):
+        raise IndexError(f"state/action ({s}, {a}) out of range")
+    if mdp.absorbing_goals and mdp.phi[s] == goal:
+        row = np.zeros(mdp.n_states)
+        row[s] = 1.0
+        return row
+    return mdp.transitions[s, a].copy()
+
+
+def v_from_occupancy(table, s=None):
+    """V = p_goal_marginal / (1 - gamma) from one occupancy table; full (S,)
+    array or a single entry."""
+    v = table.p_goal_marginal / (1.0 - table.gamma)
+    return v if s is None else float(v[s])
+
+
+def action_supports(logs, mdp, prior_policy, s, g, threshold=1e-6):
+    """(HSR action set, HGR action set) for one queried (state, goal) pair,
+    as plain sets read from the library's support tables."""
+    from gchr.tabular_lab import achieved_goals_in_logs, hgr_support_table, hsr_support_table
+
+    hsr = hsr_support_table(logs, mdp.phi, mdp.n_goals, mdp.n_actions)
+    achieved = achieved_goals_in_logs(logs, mdp.phi, mdp.n_goals)
+    hgr = hgr_support_table(prior_policy, achieved, threshold)
+    return set(np.flatnonzero(hsr[s, g])), set(np.flatnonzero(hgr[s]))
+
+
 def geometric_tail(gamma, start):
     """sum_{k>=start} gamma^k."""
     return gamma**start / (1.0 - gamma)
@@ -363,6 +394,46 @@ def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_00
         if delta <= tol:
             return q, (pi * q).sum(axis=1), sweep
     raise RuntimeError("policy evaluation did not converge")
+
+
+def goal_major_iterative_evaluation(mdp, policy, tol=1e-12, max_iters=None):
+    """Batched Bellman backups with Q stored goal-major as (G, S, A): one
+    (G, S) @ (S, S*A) product per sweep, V as `(pi * q).sum(axis=2)`, the
+    goal-absorbing rows as a (G, S) phi == g mask. The reference for the
+    action-major policy_evaluation_iterative, which must match it bit for
+    bit. Returns q (S, A, G) and v (S, G); raises EvaluationNotConverged
+    with the goals still moving after max_iters."""
+    from gchr.tabular_lab.solve import EvaluationNotConverged, sweep_cap
+
+    if max_iters is None:
+        max_iters = sweep_cap(mdp.gamma, tol)
+    n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals
+    active = np.arange(n_goals)
+    absorbing = mdp.phi[None, :] == active[:, None]
+    pi_all = policy.probs.transpose(1, 0, 2)
+    pi = pi_all
+    next_state = mdp.transitions.reshape(n_states * n_actions, n_states).T
+    q_done = np.empty((n_goals, n_states, n_actions))
+    q = np.zeros((n_goals, n_states, n_actions))
+    for _ in range(max_iters):
+        v = (pi * q).sum(axis=2)
+        q_next = (v @ next_state).reshape(q.shape)
+        q_next[absorbing] = v[absorbing][:, None]
+        q_next *= mdp.gamma
+        q_next += absorbing[:, :, None]
+        delta = np.abs(q_next - q).max(axis=(1, 2))
+        q = q_next
+        done = delta <= tol
+        if done.any():
+            q_done[active[done]] = q[done]
+            moving = ~done
+            active, q, absorbing, pi = active[moving], q[moving], absorbing[moving], pi[moving]
+            if not active.size:
+                break
+    else:
+        raise EvaluationNotConverged(active.tolist(), max_iters)
+    v = (pi_all * q_done).sum(axis=2)
+    return q_done.transpose(1, 2, 0), v.T
 
 
 def occupancy_via_goal_tensor(mdp, policy):
@@ -390,20 +461,23 @@ def occupancy_via_goal_tensor(mdp, policy):
 
 def via_goal_tensor(mdp, policy, values):
     """All via-goal values at once as dense (S, G, G') tensors, one dense
-    first_hit @ values product per subgoal: the reference for the streamed
+    first_hit @ values product per subgoal, first_hit from a full
+    compute_occupancy table: the reference for the streamed
     via_goal_factors / via_goal_slice pair. `values` (S, G) are the policy's
-    exact per-goal values. Returns (v_via, p_hit, downstream, defined)."""
-    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR, goal_hitting
+    exact per-goal values, and p_hit = (1 - gamma) * values as in the
+    streamed route. Returns (v_via, p_hit, downstream, defined)."""
+    from gchr.tabular_lab import compute_occupancy
+    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
 
     n_goals = policy.n_goals
     n_states = mdp.n_states
-    p_hit = np.empty((n_states, n_goals))
+    p_hit = (1.0 - mdp.gamma) * values
     defined = np.empty((n_states, n_goals), dtype=bool)
     downstream = np.zeros((n_states, n_goals, n_goals))
     for sub in range(n_goals):
-        _, _, p_hit[:, sub], first_hit, hit_mass = goal_hitting(mdp, policy, sub)
-        defined[:, sub] = hit_mass > HIT_MASS_FLOOR
-        downstream[:, :, sub] = first_hit @ values
+        table = compute_occupancy(mdp, policy, sub)
+        defined[:, sub] = table.hit_mass > HIT_MASS_FLOOR
+        downstream[:, :, sub] = table.first_hit @ values
     downstream *= defined[:, None, :]
     v_via = p_hit[:, None, :] * downstream
     return v_via, p_hit, downstream, defined

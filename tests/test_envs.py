@@ -20,7 +20,7 @@ from gchr.envs.base import is_success, row_norm
 from gchr.envs.block_push import CONTACT_DIST, DT
 from gchr.envs.l_maze import in_free_space
 from gchr.replay import HerBuffer, HerConfig, Trajectory
-from oracles import scalar_block_push_dynamics, scalar_l_maze_dynamics
+from oracles import scalar_block_push_dynamics, scalar_l_maze_dynamics, step_distribution
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -348,10 +348,10 @@ def test_chain_fixture_documented_rows():
 
 def test_absorbing_state_self_transition():
     mdp = chain3()
-    row = mdp.step_distribution(2, 0, goal=2)
+    row = step_distribution(mdp, 2, 0, goal=2)
     np.testing.assert_array_equal(row, [0.0, 0.0, 1.0])
     # same state under a different evaluated goal returns the raw row
-    row = mdp.step_distribution(1, 0, goal=2)
+    row = step_distribution(mdp, 1, 0, goal=2)
     np.testing.assert_array_equal(row, mdp.transitions[1, 0])
 
 
@@ -360,15 +360,15 @@ def test_absorbing_override_is_one_hot_even_for_non_self_loops():
     transitions[0, 0] = [0.0, 1.0]
     transitions[1, 0] = [1.0, 0.0]  # raw row leaves state 1
     mdp = TabularGCMDP(transitions, phi=np.array([0, 1]), gamma=0.9)
-    np.testing.assert_array_equal(mdp.step_distribution(1, 0, goal=1), [0.0, 1.0])
+    np.testing.assert_array_equal(step_distribution(mdp, 1, 0, goal=1), [0.0, 1.0])
 
 
 def test_step_distribution_index_errors():
     mdp = chain3()
     with pytest.raises(IndexError):
-        mdp.step_distribution(5, 0, goal=0)
+        step_distribution(mdp, 5, 0, goal=0)
     with pytest.raises(IndexError):
-        mdp.step_distribution(0, 3, goal=0)
+        step_distribution(mdp, 0, 3, goal=0)
 
 
 def test_transition_rows_are_probability_vectors():

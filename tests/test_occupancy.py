@@ -13,12 +13,17 @@ from gchr.tabular_lab import (
     policy_evaluation_iterative,
     q_from_occupancy,
     random_mdp,
-    v_from_occupancy,
+    reward_vector,
 )
 from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
 from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix, sweep_cap
 
-from oracles import geometric_tail, per_goal_iterative_evaluation
+from oracles import (
+    geometric_tail,
+    goal_major_iterative_evaluation,
+    per_goal_iterative_evaluation,
+    v_from_occupancy,
+)
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -188,6 +193,56 @@ def test_batched_iterative_evaluation_matches_per_goal_oracle_on_dense_mdps(rng)
                 q_ref, v_ref, _ = per_goal_iterative_evaluation(mdp, policy, goal)
                 np.testing.assert_allclose(q[:, :, goal], q_ref, rtol=0, atol=1e-13 / (1 - gamma))
                 np.testing.assert_allclose(v[:, goal], v_ref, rtol=0, atol=1e-13 / (1 - gamma))
+
+
+GOAL_MAJOR_CASES = {
+    "lab_grid": lambda: make_gridworld(10, 10, gamma=0.9, slip=0.2),
+    "grid_6x6": lambda: make_gridworld(6, 6, gamma=0.95, slip=0.1),
+    # goal sets of several states
+    "random_grouped": lambda: random_mdp(np.random.default_rng(11), 12, 3, 4, 0.9),
+    "chain3": chain3,  # two actions
+}
+
+
+@pytest.mark.parametrize("name", list(GOAL_MAJOR_CASES))
+def test_action_major_iterative_evaluation_is_bit_identical_to_goal_major(name, rng):
+    # the (G, A, S) layout sums V action by action from action 0, the order
+    # numpy's (pi * q).sum(axis=2) takes on the (G, S, A) layout
+    mdp = GOAL_MAJOR_CASES[name]()
+    assert name != "random_grouped" or np.bincount(mdp.phi).max() > 1
+    for policy in (uniform_policy(mdp),
+                   TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)):
+        q, v = policy_evaluation_iterative(mdp, policy)
+        q_ref, v_ref = goal_major_iterative_evaluation(mdp, policy)
+        assert q.shape == q_ref.shape and v.shape == v_ref.shape
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(v, v_ref)
+
+
+def test_action_major_and_goal_major_evaluation_stop_the_same_goals_at_a_cap(rng):
+    mdp = random_mdp(rng, 12, 3, 4, 0.9)
+    policy = TabularPolicy.random(12, 4, 3, rng)
+    for cap in (1, 5, 40):
+        with pytest.raises(EvaluationNotConverged) as got:
+            policy_evaluation_iterative(mdp, policy, max_iters=cap)
+        with pytest.raises(EvaluationNotConverged) as want:
+            goal_major_iterative_evaluation(mdp, policy, max_iters=cap)
+        assert got.value.goals == want.value.goals and got.value.goals
+
+
+def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):
+    # the policy matrix and the direct Q overwrite the goal set's rows of the
+    # raw dynamics; the old route contracted the copied absorbing tensor
+    phi = np.arange(20) // 3
+    mdp = make_gridworld(5, 4, gamma=0.9, slip=0.3, phi=phi)
+    policy = TabularPolicy.random(20, mdp.n_goals, 4, rng)
+    for goal in range(mdp.n_goals):
+        p_eff = mdp.effective_transitions(goal)
+        p_pi = np.einsum("sa,sax->sx", policy.for_goal(goal), p_eff)
+        np.testing.assert_array_equal(policy_transition_matrix(mdp, policy, goal), p_pi)
+        q, v = policy_evaluation_direct(mdp, policy, goal)
+        q_ref = reward_vector(mdp, goal)[:, None] + 0.9 * np.einsum("sax,x->sa", p_eff, v)
+        np.testing.assert_array_equal(q, q_ref)
 
 
 def test_iterative_evaluation_raises_off_the_absorbing_formulation_and_at_the_cap(rng):

@@ -3,13 +3,14 @@ import numpy as np
 from gchr.tabular_lab import (
     TabularPolicy,
     achieved_goals_in_logs,
-    action_supports,
     behavior_clone,
     hgr_support_table,
     hsr_support_table,
     make_gridworld,
     random_walk_log,
 )
+
+from oracles import action_supports
 
 
 def tiny_log():

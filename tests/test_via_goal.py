@@ -33,7 +33,7 @@ def exact_values(mdp, policy):
 def stacked_slices(mdp, policy, values):
     """Every subgoal's via_goal_slice stacked on a last axis, in the layout
     (v_via, p_hit, downstream, defined) of the dense tensor oracle."""
-    factors = via_goal_factors(mdp, policy)
+    factors = via_goal_factors(mdp, policy, values)
     slices = [via_goal_slice(mdp, factors, values, sub) for sub in range(policy.n_goals)]
     downstream = np.stack([down for down, _ in slices], axis=2)
     v_via = np.stack([via for _, via in slices], axis=2)
@@ -105,13 +105,17 @@ def test_tensor_agrees_with_scalar_op(rng):
 
 
 def test_hit_probability_equals_one_minus_gamma_times_value(rng):
-    # p(g'|s) = (1 - gamma) V(s, g'): the identity Theorem 2's first factor uses
+    # p(g'|s) = (1 - gamma) V(s, g'): the identity Theorem 2's first factor
+    # uses. The factors take it from the values, so compare with the goal
+    # density of the occupancy (the resolvent route), not with the values
+    from gchr.tabular_lab import compute_occupancy
+
     mdp = make_gridworld(4, 3, gamma=0.9, slip=0.1)
     policy = TabularPolicy.random(12, 12, 4, rng)
-    _, p_hit, _, _ = stacked_slices(mdp, policy, exact_values(mdp, policy))
+    p_hit, _, _ = via_goal_factors(mdp, policy, exact_values(mdp, policy))
     for sub in range(12):
-        _, v = policy_evaluation_direct(mdp, policy, sub)
-        np.testing.assert_allclose(p_hit[:, sub], (1 - 0.9) * v, atol=1e-10)
+        p_goal = compute_occupancy(mdp, policy, sub).p_goal_marginal
+        np.testing.assert_allclose(p_hit[:, sub], p_goal, rtol=0, atol=1e-13)
 
 
 def test_tensor_matches_reference_built_from_occupancy_tables(rng):
@@ -147,7 +151,7 @@ def test_hits_column_holds_its_subgoals_first_hit_distribution(rng):
     n_states = len(grid_cells(4, 3, walls))
     mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
     policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
-    _, _, hits = via_goal_factors(mdp, policy)
+    _, _, hits = via_goal_factors(mdp, policy, exact_values(mdp, policy))
     for sub in range(mdp.n_goals):
         first_hit = compute_occupancy(mdp, policy, sub).first_hit
         states = mdp.goal_states(sub)

@@ -11,9 +11,12 @@ small ones that reach the tanh, delayed copy, K-fraction, action-noise and
 entropy paths the workloads leave at their defaults.
 
 Then runs verify_tabular, as `gchr tabular-verify` does, on the benchmark's
-lab gridworld (LAB_GRID in perfbench/workloads.py) for seeds 1-5 and on
-assets/chain3.mdp for seeds 0-5, and prints one line per MDP and seed: its
-name, the seed and the digest of the report CSV.
+lab gridworld (LAB_GRID in perfbench/workloads.py) for seeds 1-5, on
+assets/chain3.mdp for seeds 0-5 and on a walled 4x3 grid whose goal sets are
+pairs of cells for seeds 0-2, and prints one line per MDP and seed: its
+name, the seed and the digest of the report CSV. The walled grid is the one
+MDP with goal sets of more than one state: first hits spread over several
+columns, and both parts of the reachability certificate run.
 
 A change that must keep training output and lab reports byte-identical
 prints the same lines before and after.
@@ -30,12 +33,19 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gchr.envs import load_tabular_mdp  # noqa: E402
 from gchr.harness import default_config, train_seed  # noqa: E402
-from gchr.tabular_lab import make_gridworld, verify_tabular, write_report_csv  # noqa: E402
+from gchr.tabular_lab import (  # noqa: E402
+    grid_cells,
+    make_gridworld,
+    verify_tabular,
+    write_report_csv,
+)
 from workloads import LAB_GRID, TRAIN_OVERRIDES  # noqa: E402
 
 CONFIGS = {
@@ -51,9 +61,20 @@ CONFIGS = {
     ],
 }
 SEED = 1
+PAIRED_WALLS = [(1, 0), (1, 1), (1, 2)]  # a wall column cuts the 4x3 grid in two
+
+
+def paired_goal_grid():
+    """4x3 slippery grid behind a wall column; consecutive cells share a goal id."""
+    n_states = len(grid_cells(4, 3, PAIRED_WALLS))
+    return make_gridworld(4, 3, gamma=0.9, walls=PAIRED_WALLS, slip=0.2,
+                          phi=np.arange(n_states) // 2)
+
+
 LAB_MDPS = {
     "lab_grid": (lambda: make_gridworld(**LAB_GRID), range(1, 6)),
     "chain3": (lambda: load_tabular_mdp(ROOT / "assets" / "chain3.mdp"), range(0, 6)),
+    "paired_goal_grid": (paired_goal_grid, range(0, 3)),
 }
 
 
