@@ -41,6 +41,7 @@ from .nn import (
     AdamState,
     CriticNet,
     DiagGaussianHead,
+    Mlp,
     PolicyNet,
     adam_step,
     gaussian_log_prob,
@@ -425,15 +426,13 @@ def load_actor_from_checkpoint(path, state_dim, goal_dim, action_dim,
     if not actor_params:
         raise ValueError(f"{path}: checkpoint holds no actor parameters")
     n_layers = sum(1 for k in actor_params if k.startswith("w"))
-    sizes = [actor_params["w0"].shape[0]]
-    for i in range(n_layers):
-        sizes.append(actor_params[f"w{i}"].shape[1])
+    weights = [actor_params[f"w{i}"] for i in range(n_layers)]
+    biases = [actor_params[f"b{i}"] for i in range(n_layers)]
+    sizes = [weights[0].shape[0], *(w.shape[1] for w in weights)]
     if sizes[0] != state_dim + goal_dim or sizes[-1] != 2 * action_dim:
         raise ValueError(
             f"{path}: actor expects input {sizes[0]} / output {sizes[-1]}, "
             f"environment needs {state_dim + goal_dim} / {2 * action_dim}"
         )
-    actor = PolicyNet(state_dim, goal_dim, action_dim, hidden_sizes=tuple(sizes[1:-1]),
-                      activation=activation, squash=squash, rng=0)
-    actor.set_params(actor_params)
-    return actor
+    return PolicyNet.from_mlp(Mlp(sizes, weights, biases, activation),
+                              state_dim, goal_dim, action_dim, squash=squash)

@@ -70,6 +70,14 @@ def row_norm(x):
     return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
 
 
+def clamp(x, low, high):
+    """np.clip(x, low, high) of an array as two ufunc calls into one fresh
+    array: the same values, NaN included, without np.clip's per-call
+    wrapper cost, which dominates on the few-element arrays of an env step."""
+    out = np.maximum(x, low)
+    return np.minimum(out, high, out=out)
+
+
 def is_success(achieved_goal, desired_goal, tolerance):
     """Goal reached within tolerance: a bool for one goal pair, a bool array
     for stacks of them."""
@@ -93,43 +101,48 @@ def reward_value_bounds(convention, gamma):
 class GoalEnv:
     """Base class for the continuous desk-scale tasks.
 
-    Subclasses implement phi(), _sample_start(), _sample_goal() and
-    _dynamics(); this class owns the episode mechanics (action clipping,
-    optional Gaussian action noise, reward and termination bookkeeping).
+    Subclasses set reset_low and reset_high and implement phi(),
+    _start_and_goal() and _dynamics(); this class owns the episode
+    mechanics (resets, action clipping, optional Gaussian action noise,
+    reward and termination bookkeeping).
+
+    Reset contract: every draw a reset makes is uniform in the box
+    [reset_low, reset_high] of shape (k,), listed in draw order, and
+    _start_and_goal() maps draws of shape (..., k) row by row to (states,
+    desired goals). reset(rng, n) takes all n episodes' draws in one
+    rng.uniform call of size (n, k), which consumes rng exactly as n
+    single resets in episode order; a single reset, reset(rng), is row 0
+    of a stack of one.
 
     Batch-axis contract: phi() and _dynamics() map states of shape
     (..., state_dim) and actions of shape (..., action_dim) row by row, and
     step() accepts a GoalEnvState whose state and goals carry the same
-    leading axes, e.g. n episodes reset one by one and stacked. Every row
-    gets the same arithmetic as a single state would, so stepping n
-    episodes in lockstep equals stepping each alone, bit for bit. step()
-    returns the reward as a float for a single state and as an array over
-    the leading axes for a stack; done is one bool, since all rows share
-    the step index. reset() returns a single state.
+    leading axes. Every row gets the same arithmetic as a single state
+    would, so stepping n episodes in lockstep equals stepping each alone,
+    bit for bit. step() returns the reward as a float for a single state
+    and as an array over the leading axes for a stack; done is one bool,
+    since all rows share the step index.
     """
 
     spec: GoalEnvSpec
+    reset_low: np.ndarray
+    reset_high: np.ndarray
 
     def phi(self, state):
         raise NotImplementedError
 
-    def _sample_start(self, rng):
-        raise NotImplementedError
-
-    def _sample_goal(self, rng):
+    def _start_and_goal(self, draws):
         raise NotImplementedError
 
     def _dynamics(self, state, action):
         raise NotImplementedError
 
-    def reset(self, rng):
-        state = self._sample_start(rng)
-        return GoalEnvState(
-            state=state,
-            achieved_goal=self.phi(state),
-            desired_goal=self._sample_goal(rng),
-            step_index=0,
-        )
+    def reset(self, rng, n=None):
+        """One episode's start (n=None) or a stack of n episodes' starts."""
+        size = self.reset_low.shape if n is None else (n, len(self.reset_low))
+        state, goal = self._start_and_goal(rng.uniform(self.reset_low, self.reset_high, size))
+        # a copy: a view would keep all the draws alive for the whole episode
+        return GoalEnvState(state=state, achieved_goal=self.phi(state), desired_goal=goal.copy())
 
     def step(self, env_state, action, rng):
         """Advance one step; returns (next GoalEnvState, reward, done).
@@ -145,24 +158,19 @@ class GoalEnv:
         expected = (*np.shape(env_state.state)[:-1], spec.action_dim)
         if action.shape != expected:
             raise ValueError(f"action shape {action.shape} != {expected}")
-        if np.any(np.abs(action) > 1.0 + 1e-9):
+        if (np.abs(action) > 1.0 + 1e-9).any():
             raise ValueError("action components must lie in [-1, 1]")
         if spec.action_noise_std > 0:
             action = action + spec.action_noise_std * rng.standard_normal(action.shape)
-        action = np.clip(action, -1.0, 1.0)
+        action = clamp(action, -1.0, 1.0)
         next_state = self._dynamics(env_state.state, action)
         achieved = self.phi(next_state)
         reward = sparse_reward(
             achieved, env_state.desired_goal, spec.success_tolerance, spec.reward_convention
         )
-        next_env_state = GoalEnvState(
-            state=next_state,
-            achieved_goal=achieved,
-            desired_goal=env_state.desired_goal,
-            step_index=env_state.step_index + 1,
-        )
-        done = next_env_state.step_index == spec.horizon
-        return next_env_state, reward, done
+        step_index = env_state.step_index + 1
+        next_env_state = GoalEnvState(next_state, achieved, env_state.desired_goal, step_index)
+        return next_env_state, reward, step_index == spec.horizon
 
     def _with_spec_overrides(self, **overrides):
         fixed = {"state_dim", "action_dim", "goal_dim"}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import GoalEnv, GoalEnvSpec, row_norm
+from .base import GoalEnv, GoalEnvSpec, clamp, row_norm
 
 DT = 0.1
 AGENT_RADIUS = 0.08
@@ -18,6 +18,7 @@ CONTACT_DIST = AGENT_RADIUS + BLOCK_RADIUS
 WORKSPACE = 1.0
 AGENT_START = np.array([-0.5, 0.0])
 BLOCK_START = np.array([0.0, 0.0])
+STARTS = np.concatenate([AGENT_START, BLOCK_START])
 START_JITTER = 0.05
 GOAL_RANGE = 0.7
 
@@ -52,6 +53,10 @@ def resolve_contact(agent_pos, block_pos, fallback_dir):
 class BlockPush2D(GoalEnv):
     """State (agent_x, agent_y, block_x, block_y); phi extracts the block position."""
 
+    # agent x, y jitter, then block x, y jitter, then goal x, y
+    reset_low = np.array([-START_JITTER] * 4 + [-GOAL_RANGE] * 2)
+    reset_high = -reset_low
+
     def __init__(self, **spec_overrides):
         self.spec = GoalEnvSpec(state_dim=4, action_dim=2, goal_dim=2, horizon=60)
         self._with_spec_overrides(**spec_overrides)
@@ -59,17 +64,12 @@ class BlockPush2D(GoalEnv):
     def phi(self, state):
         return np.asarray(state, dtype=np.float64)[..., 2:4].copy()
 
-    def _sample_start(self, rng):
-        agent = AGENT_START + rng.uniform(-START_JITTER, START_JITTER, size=2)
-        block = BLOCK_START + rng.uniform(-START_JITTER, START_JITTER, size=2)
-        return np.concatenate([agent, block])
-
-    def _sample_goal(self, rng):
-        return rng.uniform(-GOAL_RANGE, GOAL_RANGE, size=2)
+    def _start_and_goal(self, draws):
+        return STARTS + draws[..., :4], draws[..., 4:]
 
     def _dynamics(self, state, action):
         agent, block = state[..., :2], state[..., 2:4]
-        new_agent = np.clip(agent + action * DT, -WORKSPACE, WORKSPACE)
+        new_agent = clamp(agent + action * DT, -WORKSPACE, WORKSPACE)
         new_block = resolve_contact(new_agent, block, new_agent - agent)
-        new_block = np.clip(new_block, -WORKSPACE, WORKSPACE)
+        new_block = clamp(new_block, -WORKSPACE, WORKSPACE)
         return np.concatenate([new_agent, new_block], axis=-1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import GoalEnv, GoalEnvSpec
+from .base import GoalEnv, GoalEnvSpec, clamp
 from .point_reach import DT, VELOCITY_CLIP
 
 # free space: bottom strip on [0,1] x [0, 0.4] plus right strip on [0.6, 1] x [0, 1]
@@ -36,6 +36,10 @@ def in_free_space(p):
 class LMaze2D(GoalEnv):
     """State (x, y, vx, vy); acceleration control, horizon 100."""
 
+    # start x, y in START_BOX, then goal x, y in GOAL_BOX
+    reset_low = np.array([START_BOX[0], START_BOX[2], GOAL_BOX[0], GOAL_BOX[2]])
+    reset_high = np.array([START_BOX[1], START_BOX[3], GOAL_BOX[1], GOAL_BOX[3]])
+
     def __init__(self, **spec_overrides):
         self.spec = GoalEnvSpec(state_dim=4, action_dim=2, goal_dim=2, horizon=100)
         self._with_spec_overrides(**spec_overrides)
@@ -43,25 +47,22 @@ class LMaze2D(GoalEnv):
     def phi(self, state):
         return np.asarray(state, dtype=np.float64)[..., :2].copy()
 
-    def _sample_start(self, rng):
-        x0, x1, y0, y1 = START_BOX
-        pos = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        return np.concatenate([pos, np.zeros(2)])
-
-    def _sample_goal(self, rng):
-        x0, x1, y0, y1 = GOAL_BOX
-        return np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
+    def _start_and_goal(self, draws):
+        pos = draws[..., :2]
+        return np.concatenate([pos, np.zeros_like(pos)], axis=-1), draws[..., 2:]
 
     def _dynamics(self, state, action):
         pos, vel = state[..., :2], state[..., 2:]
-        vel = np.clip(vel + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
+        vel = clamp(vel + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
         target = pos + vel * DT
         # slide along walls: when the full move leaves the free space, keep
         # the x move if it alone stays free, else the y move; a blocked
-        # axis keeps its position and loses its velocity
-        free = in_free_space(target)
-        free_x = in_free_space(np.stack([target[..., 0], pos[..., 1]], axis=-1))
-        free_y = in_free_space(np.stack([pos[..., 0], target[..., 1]], axis=-1))
+        # axis keeps its position and loses its velocity. The full move, the
+        # x move alone and the y move alone are tested in one call.
+        candidates = np.stack([target, target, pos])
+        candidates[1, ..., 1] = pos[..., 1]
+        candidates[2, ..., 1] = target[..., 1]
+        free, free_x, free_y = in_free_space(candidates)
         moves = np.stack([free | free_x, free | (~free_x & free_y)], axis=-1)
         return np.concatenate(
             [np.where(moves, target, pos), np.where(moves, vel, 0.0)], axis=-1

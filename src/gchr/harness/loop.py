@@ -8,7 +8,7 @@ its metrics file byte for byte; wall-clock timings go to a separate file
 for that reason.
 
 Collection is lockstep: the warm-up episodes, and each cycle's episodes,
-are reset one by one and then stepped together, one action call and one
+are reset as one stack and then stepped together, one action call and one
 env.step per timestep on the stacked states (collect_episodes).
 
 Exploration follows the sparse-goal-reaching convention: with a fixed
@@ -19,7 +19,8 @@ for the random-action mask, then uniform(-1, 1, (n, action_dim)), then
 one policy sample on all n rows, then standard_normal((n, action_dim))
 for the exploration noise (only when the noise scale is positive); the
 warm-up draws only uniform(-1, 1, (n, action_dim)). env_rng gives the n
-resets in episode order, then each step's action-noise draw in the env.
+resets, as one (n, k) uniform draw that consumes it exactly as n resets in
+episode order would, then each step's action-noise draw in the env.
 
 The networks are too small to gain from multithreaded BLAS, which only
 adds overhead. Nothing here limits BLAS threads: set
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..agent import GchrAgent
-from ..envs.base import GoalEnvState, is_success
+from ..envs.base import is_success
 from ..replay import HerBuffer, Trajectory, dump_trajectories_csv
 
 _METRIC_FIELDS = ("critic_loss", "actor_loss", "q_term", "hsr_loss", "hgr_loss")
@@ -88,30 +89,20 @@ def collect_episode(env, action_fn, env_rng):
     )
 
 
-def _reset_stack(env, n, rng):
-    """n episodes reset one by one from rng, stacked along a leading axis."""
-    starts = [env.reset(rng) for _ in range(n)]
-    return GoalEnvState(
-        state=np.array([s.state for s in starts]),
-        achieved_goal=np.array([s.achieved_goal for s in starts]),
-        desired_goal=np.array([s.desired_goal for s in starts]),
-    )
-
-
 def collect_episodes(env, n, action_fn, env_rng):
     """Roll n full episodes in lockstep; returns their Trajectory list in
     episode order.
 
-    The n episodes are reset one by one from env_rng and stacked; each
-    timestep then makes one action_fn(states (n, state_dim), goals
-    (n, goal_dim)) -> (n, action_dim) call and one env.step on the stack.
+    The n episodes are reset as one stack from env_rng; each timestep then
+    makes one action_fn(states (n, state_dim), goals (n, goal_dim)) ->
+    (n, action_dim) call and one env.step on the stack.
     Each trajectory equals the one its episode gives when stepped alone
     with the same actions and the same env_rng draws.
     """
     if n < 1:
         raise ValueError("collection needs at least one episode")
     spec = env.spec
-    es = _reset_stack(env, n, env_rng)
+    es = env.reset(env_rng, n)
     states = np.empty((n, spec.horizon + 1, spec.state_dim))
     achieved = np.empty((n, spec.horizon + 1, spec.goal_dim))
     actions = np.empty((n, spec.horizon, spec.action_dim))
@@ -130,7 +121,7 @@ def run_eval(actor, env, n, seed_or_rng):
     """Mean-action evaluation over n fresh-goal episodes.
 
     Returns (success_rate, mean_return); success is the final state lying
-    within tolerance. The n episodes are reset one by one, then stepped in
+    within tolerance. The n episodes are reset as one stack, then stepped in
     lockstep: one env.step per timestep on the stacked states. `actor`
     either exposes mean_action(states, goals) or is itself a callable
     (states, goals) -> actions; either is called once per timestep on the
@@ -143,7 +134,7 @@ def run_eval(actor, env, n, seed_or_rng):
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    es = _reset_stack(env, n, rng)
+    es = env.reset(rng, n)
     returns = np.zeros(n)
     act = getattr(actor, "mean_action", actor)
     for _ in range(env.spec.horizon):

@@ -41,12 +41,24 @@ class PolicyNet(_MlpNet):
 
     def __init__(self, state_dim, goal_dim, action_dim, hidden_sizes=(64, 64),
                  activation="relu", squash=True, rng=None):
+        sizes = [int(state_dim) + int(goal_dim), *hidden_sizes, 2 * int(action_dim)]
+        self._bind(Mlp.initialize(sizes, activation=activation, rng=rng),
+                   state_dim, goal_dim, action_dim, squash)
+
+    @classmethod
+    def from_mlp(cls, mlp, state_dim, goal_dim, action_dim, squash=True):
+        """An actor around an existing trunk, e.g. one built from stored
+        arrays; no random initialization."""
+        actor = cls.__new__(cls)
+        actor._bind(mlp, state_dim, goal_dim, action_dim, squash)
+        return actor
+
+    def _bind(self, mlp, state_dim, goal_dim, action_dim, squash):
         self.state_dim = int(state_dim)
         self.goal_dim = int(goal_dim)
         self.action_dim = int(action_dim)
         self.squash = bool(squash)
-        sizes = [self.state_dim + self.goal_dim, *hidden_sizes, 2 * self.action_dim]
-        self.mlp = Mlp.initialize(sizes, activation=activation, rng=rng)
+        self.mlp = mlp
 
     def head_cached(self, states, goals):
         """Returns (head, cache, raw_log_std); cache feeds backward_from_head."""
@@ -60,8 +72,10 @@ class PolicyNet(_MlpNet):
         return self.head_cached(states, goals)[0]
 
     def mean_action(self, states, goals):
-        """Deterministic (greedy) action: the distribution mode."""
-        return self.head(states, goals).mode()
+        """Deterministic (greedy) action: the distribution mode, tanh(mean)
+        when squashed, taken from the trunk without building a head."""
+        mean = self.mlp.forward(_concat(states, goals))[..., : self.action_dim]
+        return np.tanh(mean) if self.squash else mean.copy()
 
     def sample(self, states, goals, rng):
         """One reparameterized action draw per row."""

@@ -9,12 +9,16 @@ File layout:
              little-endian float64 bytes
 
 The JSON header fixes both ordering and shapes, so a round trip restores
-every bit of every parameter.
+every bit of every parameter. A save writes `<path>.tmp` and then renames it
+over `path`, so a save that fails midway leaves the previous checkpoint
+whole.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -23,27 +27,35 @@ MAGIC = b"GCHR-CKPT-1\n"
 
 def save_params(path, params):
     arrays = [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()]
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps({"arrays": arrays}).encode("ascii") + b"\n")
         for arr in params.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def load_params(path):
+    """The named arrays of a checkpoint, in file order. The file is read
+    once, into one writable buffer; each array is a view into it."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-        header = json.loads(fh.readline().decode("ascii"))
-        params = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * 8)
-            if len(data) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint at array {entry['name']!r}")
-            params[entry["name"]] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after declared arrays")
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(data)
+    if not data.startswith(MAGIC):
+        raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
+    offset = data.find(b"\n", len(MAGIC)) + 1
+    if not offset:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    header = json.loads(data[len(MAGIC) : offset].decode("ascii"))
+    params = {}
+    for entry in header["arrays"]:
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
+        if offset + count * 8 > len(data):
+            raise ValueError(f"{path}: truncated checkpoint at array {entry['name']!r}")
+        params[entry["name"]] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
+        offset += count * 8
+    if offset != len(data):
+        raise ValueError(f"{path}: trailing bytes after declared arrays")
     return params

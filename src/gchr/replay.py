@@ -171,10 +171,6 @@ class HerBuffer:
     def n_transitions(self):
         return self._n_transitions
 
-    @property
-    def n_trajectories(self):
-        return self._tail - self._head
-
     def _ensure_alloc(self, extra_rows):
         """Make room for `extra_rows` more flat rows: double the arrays up to
         the cap; only where the rows would pass the cap, first compact the

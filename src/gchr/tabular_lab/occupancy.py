@@ -49,7 +49,8 @@ def compute_occupancy(mdp, policy, goal):
     p_pi = policy_transition_matrix(mdp, policy, goal)
     resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
     goal_states = mdp.goal_states(goal)
-    first_hit, hit_mass = first_hit_distribution(p_pi, goal_states, gamma)
+    first_hit = np.zeros((n, n))
+    first_hit[:, goal_states], hit_mass = first_hit_columns(p_pi, goal_states, gamma)
     p_eff = mdp.effective_transitions(goal)
     # d = (1 - gamma) * (I + gamma * P_eff R), built in the product's buffer
     d = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
@@ -70,25 +71,27 @@ def compute_occupancy(mdp, policy, goal):
     )
 
 
-def first_hit_distribution(p_pi, goal_states, gamma):
-    """(first_hit (S, S), hit_mass (S,)) toward `goal_states` under the
-    goal-absorbing P_pi: one taboo solve on the states outside the goal set,
-    with one right-hand side per goal state."""
+def first_hit_columns(p_pi, goal_states, gamma):
+    """(columns (S, |S_g|), hit_mass (S,)) toward `goal_states` under the
+    goal-absorbing P_pi: column j is the normalized first-hit probability at
+    goal_states[j], and every other column of the first-hit distribution is
+    zero. One taboo solve on the states outside the goal set, with one
+    right-hand side per goal state."""
     n = p_pi.shape[0]
     in_goal = np.zeros(n, dtype=bool)
     in_goal[goal_states] = True
     outside = np.flatnonzero(~in_goal)
-    first_hit = np.zeros((n, n))
-    first_hit[goal_states, goal_states] = 1.0  # first arrival at time 0
+    columns = np.zeros((n, len(goal_states)))
+    columns[goal_states, np.arange(len(goal_states))] = 1.0  # first arrival at time 0
     if outside.size:
         a = np.eye(outside.size) - gamma * p_pi[np.ix_(outside, outside)]
         b = gamma * p_pi[np.ix_(outside, goal_states)]
-        first_hit[np.ix_(outside, goal_states)] = np.linalg.solve(a, b)
-    hit_mass = first_hit.sum(axis=1)
+        columns[outside] = np.linalg.solve(a, b)
+    hit_mass = columns.sum(axis=1)
     reachable = hit_mass > HIT_MASS_FLOOR
-    first_hit[reachable] /= hit_mass[reachable, None]
-    first_hit[~reachable] = 0.0
-    return first_hit, hit_mass
+    columns[reachable] /= hit_mass[reachable, None]
+    columns[~reachable] = 0.0
+    return columns, hit_mass
 
 
 def q_from_occupancy(table, s=None, a=None):

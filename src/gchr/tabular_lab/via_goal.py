@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .occupancy import HIT_MASS_FLOOR, first_hit_distribution
+from .occupancy import HIT_MASS_FLOOR, first_hit_columns
 from .solve import policy_transition_matrix
 
 
@@ -50,9 +50,8 @@ def via_goal_factors(mdp, policy, values):
     for sub in range(policy.n_goals):
         states = mdp.goal_states(sub)
         p_pi = policy_transition_matrix(mdp, policy, sub)
-        first_hit, hit_mass = first_hit_distribution(p_pi, states, mdp.gamma)
+        hits[:, states], hit_mass = first_hit_columns(p_pi, states, mdp.gamma)
         defined[:, sub] = hit_mass > HIT_MASS_FLOOR
-        hits[:, states] = first_hit[:, states]
     return (1.0 - mdp.gamma) * values, defined, hits
 
 

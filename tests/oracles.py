@@ -126,6 +126,36 @@ def per_episode_collection(env, n, action_fn, env_rng):
                        episodes[i].desired_goal) for i in range(n)]
 
 
+def per_episode_reset(env, rng):
+    """One episode's (state, desired goal), drawn with one rng call per
+    coordinate pair or scalar and the env's own constants: the reference for
+    GoalEnv.reset's single (n, k) uniform draw."""
+    from gchr.envs import block_push, l_maze, point_reach
+
+    if isinstance(env, point_reach.PointReach2D):
+        pos = rng.uniform(-point_reach.START_JITTER, point_reach.START_JITTER, size=2)
+        goal = rng.uniform(-point_reach.GOAL_RANGE, point_reach.GOAL_RANGE, size=2)
+        return np.concatenate([pos, np.zeros(2)]), goal
+    if isinstance(env, l_maze.LMaze2D):
+        x0, x1, y0, y1 = l_maze.START_BOX
+        pos = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
+        x0, x1, y0, y1 = l_maze.GOAL_BOX
+        goal = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
+        return np.concatenate([pos, np.zeros(2)]), goal
+    if isinstance(env, block_push.BlockPush2D):
+        jitter = block_push.START_JITTER
+        agent = block_push.AGENT_START + rng.uniform(-jitter, jitter, size=2)
+        block = block_push.BLOCK_START + rng.uniform(-jitter, jitter, size=2)
+        goal = rng.uniform(-block_push.GOAL_RANGE, block_push.GOAL_RANGE, size=2)
+        return np.concatenate([agent, block]), goal
+    raise TypeError(f"no per-episode reset for {type(env).__name__}")
+
+
+def n_trajectories(buffer):
+    """Live trajectories in a HerBuffer: its occupied slots."""
+    return buffer._tail - buffer._head
+
+
 def _scalar_in_box(x, y, box):
     x0, x1, y0, y1 = box
     return x0 <= x <= x1 and y0 <= y <= y1

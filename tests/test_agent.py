@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gchr.agent import GchrAgent, GchrConfig
+from gchr.agent import GchrAgent, GchrConfig, load_actor_from_checkpoint
 from gchr.replay import HerBuffer, HerConfig, Trajectory
 
 from oracles import DictAdamState, per_block_update
@@ -79,6 +79,23 @@ def test_save_load_round_trip(tmp_path, rng):
     )
     for name, arr in agent.nets.target_critic.params().items():
         np.testing.assert_array_equal(arr, clone.nets.target_critic.params()[name])
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_actor_loaded_alone_is_the_saved_actor(tmp_path, rng, activation):
+    agent = make_agent(activation=activation)
+    agent.update(filled_buffer(rng), HerConfig(), rng)
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    actor = load_actor_from_checkpoint(path, 4, 2, 2, activation=activation)
+    assert actor.mlp.layer_sizes == agent.nets.actor.mlp.layer_sizes
+    assert actor.mlp.activation == activation
+    assert actor.mlp.theta.tobytes() == agent.nets.actor.mlp.theta.tobytes()
+    # the loaded actor owns its parameters
+    actor.mlp.theta[0] += 1.0
+    assert load_actor_from_checkpoint(path, 4, 2, 2).mlp.theta[0] != actor.mlp.theta[0]
+    with pytest.raises(ValueError, match="environment needs"):
+        load_actor_from_checkpoint(path, 4, 3, 2)
 
 
 def test_act_shapes_and_box(rng):

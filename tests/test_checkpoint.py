@@ -40,3 +40,37 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_params(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_params(path, {"w": np.ones(10)})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_params(path)
+
+
+class _FailsMidWrite:
+    """An array entry whose bytes cannot be produced: the save fails after
+    the header and the arrays before it are written."""
+
+    shape = (3,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_save_failing_midway_leaves_the_old_checkpoint_loadable(tmp_path):
+    path = tmp_path / "c.ckpt"
+    old = {"w": np.arange(4.0), "b": np.array([0.5, -0.5])}
+    save_params(path, old)
+    old_bytes = path.read_bytes()
+    with pytest.raises(OSError, match="no space"):
+        save_params(path, {"w": np.ones(4), "b": _FailsMidWrite()})
+    assert path.read_bytes() == old_bytes
+    loaded = load_params(path)
+    for name, arr in old.items():
+        assert loaded[name].tobytes() == arr.tobytes()
+    # the next good save replaces the checkpoint whole
+    save_params(path, {"w": np.ones(4)})
+    assert np.array_equal(load_params(path)["w"], np.ones(4))

@@ -20,7 +20,12 @@ from gchr.envs.base import is_success, row_norm
 from gchr.envs.block_push import CONTACT_DIST, DT
 from gchr.envs.l_maze import in_free_space
 from gchr.replay import HerBuffer, HerConfig, Trajectory
-from oracles import scalar_block_push_dynamics, scalar_l_maze_dynamics, step_distribution
+from oracles import (
+    per_episode_reset,
+    scalar_block_push_dynamics,
+    scalar_l_maze_dynamics,
+    step_distribution,
+)
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -281,6 +286,34 @@ def test_block_push_stacked_dynamics_match_per_row_in_contact():
     # a stack with no row in contact leaves every block where it was
     far = np.array([[-0.5, 0.0, 0.5, 0.0], [0.5, 0.5, -0.5, -0.5]])
     np.testing.assert_array_equal(env._dynamics(far, np.zeros((2, 2)))[:, 2:], far[:, 2:])
+
+
+@pytest.mark.parametrize("n", [1, 4, 100])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])
+def test_stacked_reset_equals_per_episode_resets_bit_for_bit(name, seed, n):
+    env = make_env(name)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    es = env.reset(rng, n)
+    starts = [per_episode_reset(env, reference_rng) for _ in range(n)]
+    states = np.array([state for state, _ in starts])
+    assert_bitwise_equal(es.state, states)
+    assert_bitwise_equal(es.desired_goal, np.array([goal for _, goal in starts]))
+    assert_bitwise_equal(es.achieved_goal, env.phi(states))
+    assert es.step_index == 0
+    # the stream is left at the same next draw
+    assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])
+def test_single_reset_is_row_zero_of_a_stack_of_one(name):
+    env = make_env(name)
+    single = env.reset(np.random.default_rng(3))
+    stack = env.reset(np.random.default_rng(3), 1)
+    assert single.state.shape == (env.spec.state_dim,)
+    assert single.desired_goal.shape == (env.spec.goal_dim,)
+    for field in ("state", "achieved_goal", "desired_goal"):
+        assert_bitwise_equal(getattr(single, field), getattr(stack, field)[0])
 
 
 @pytest.mark.parametrize("name", ["point_reach", "l_maze", "block_push"])

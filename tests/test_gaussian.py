@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gchr.nn import (
+    LOG_STD_MAX,
     LOG_STD_MIN,
+    SQUASH_EPS,
     DiagGaussianHead,
     gaussian_log_prob,
     PolicyNet,
@@ -52,6 +54,28 @@ def test_log_std_clamped_on_construction():
     head = DiagGaussianHead(mean=np.zeros(2), log_std=np.array([-40.0, 40.0]))
     assert head.log_std[0] == LOG_STD_MIN
     assert head.log_std[1] == 2.0
+
+
+def test_clamps_equal_np_clip_nan_included(rng):
+    raw = np.array([[-40.0, np.nan, 1.5], [2.0, -5.0, 40.0]])
+    head = DiagGaussianHead(mean=np.zeros((2, 3)), log_std=raw)
+    np.testing.assert_array_equal(head.log_std, np.clip(raw, LOG_STD_MIN, LOG_STD_MAX))
+    noise = rng.standard_normal((2, 3)) * 30.0
+    u = head.mean + head.std * noise
+    bound = 1.0 - SQUASH_EPS
+    np.testing.assert_array_equal(reparam_action(head, noise), np.clip(np.tanh(u), -bound, bound))
+
+
+@pytest.mark.parametrize("squash", [True, False])
+def test_mean_action_is_the_mode_of_the_head(rng, squash):
+    policy = PolicyNet(3, 2, 2, hidden_sizes=(8,), squash=squash, rng=1)
+    for shape in [(), (5,)]:
+        states, goals = rng.standard_normal((*shape, 3)), rng.standard_normal((*shape, 2))
+        mean = policy.head(states, goals).mean
+        mode = np.tanh(mean) if squash else mean
+        action = policy.mean_action(states, goals)
+        assert action.shape == (*shape, 2)
+        assert action.tobytes() == mode.tobytes()
 
 
 def test_tight_std_limit_action_is_tanh_mean(rng):

@@ -265,6 +265,11 @@ def test_first_hit_support_and_normalization(rng):
         assert np.all(table.first_hit[:, outside] == 0.0)
         defined = table.hit_mass > HIT_MASS_FLOOR
         np.testing.assert_allclose(table.first_hit[defined].sum(axis=1), 1.0, atol=1e-9)
+        # each goal state is hit first at itself, at time 0
+        states = mdp.goal_states(goal)
+        np.testing.assert_array_equal(table.first_hit[states], np.eye(6)[states])
+        np.testing.assert_array_equal(table.hit_mass[states], 1.0)
+    assert np.bincount(mdp.phi).max() > 1  # some goal set holds several states
 
 
 def test_first_hit_point_mass_inside_goal_set():

@@ -9,7 +9,7 @@ from gchr.replay import (
     first_visit_rows,
 )
 
-from oracles import scalar_first_visit_rows, source_trajectories
+from oracles import n_trajectories, scalar_first_visit_rows, source_trajectories
 
 
 def make_trajectory(rng, horizon=10, state_dim=4, action_dim=2, goal_dim=2, walk_scale=0.1):
@@ -37,7 +37,7 @@ def test_store_count_bookkeeping(rng):
     for _ in range(7):
         buf.store_trajectory(make_trajectory(rng, horizon=10))
     assert buf.n_transitions == 70
-    assert buf.n_trajectories == 7
+    assert n_trajectories(buf) == 7
 
 
 def test_capacity_one_trajectory_evicts_previous(rng):
@@ -46,7 +46,7 @@ def test_capacity_one_trajectory_evicts_previous(rng):
     second = make_trajectory(rng, horizon=10)
     buf.store_trajectory(first)
     buf.store_trajectory(second)
-    assert buf.n_trajectories == 1
+    assert n_trajectories(buf) == 1
     batch = buf.sample_batch(64, HerConfig(relabel_ratio=0.0), rng)
     np.testing.assert_array_equal(source_trajectories([first, second], batch), 1)
 
@@ -149,7 +149,7 @@ def test_eviction_keeps_flat_arrays_consistent(rng):
     trajs = [make_trajectory(rng, horizon=10) for _ in range(30)]
     for t in trajs:
         buf.store_trajectory(t)
-    assert buf.n_transitions == 60 and buf.n_trajectories == 6
+    assert buf.n_transitions == 60 and n_trajectories(buf) == 6
     live = trajs[-6:]
     batch = buf.sample_batch(200, HerConfig(relabel_ratio=0.5), rng)
     # a sample from an evicted trajectory has no key among the live ones
@@ -267,7 +267,7 @@ def test_goal_table_survives_eviction_and_compaction(rng, monkeypatch):
         stored.append(make_trajectory(rng, horizon=int(rng.integers(3, 16)), walk_scale=walk))
         buf.store_trajectory(stored[-1])
         if i % 25 == 24:
-            live = stored[-buf.n_trajectories:]
+            live = stored[-n_trajectories(buf):]
             batch = buf.sample_batch(64, her, rng)
             for j, (k, goal_set) in enumerate(zip(source_trajectories(live, batch),
                                                   batch.goal_sets)):
@@ -301,7 +301,7 @@ def test_flat_arrays_grow_with_use_and_compact_only_at_the_cap(rng, monkeypatch)
         buf.store_trajectory(stored[-1])
         assert len(buf._states) <= int(300 * 1.25) + 2 * 41 + 4
         if i % 20 == 19:
-            live = stored[-buf.n_trajectories:]
+            live = stored[-n_trajectories(buf):]
             batch = buf.sample_batch(64, her, rng)
             for k, goal in zip(source_trajectories(live, batch), batch.original_goals):
                 np.testing.assert_array_equal(goal, live[k].desired_goal)
