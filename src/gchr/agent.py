@@ -413,8 +413,7 @@ class GchrAgent:
             getattr(self.nets, net_name).set_params(net_params)
 
 
-def load_actor_from_checkpoint(path, state_dim, goal_dim, action_dim,
-                               activation="relu", squash=True):
+def load_actor_from_checkpoint(path, state_dim, goal_dim, action_dim, activation="relu"):
     """Rebuild just the actor from an agent checkpoint.
 
     Hidden sizes are recovered from the stored weight shapes; the input and
@@ -435,4 +434,4 @@ def load_actor_from_checkpoint(path, state_dim, goal_dim, action_dim,
             f"environment needs {state_dim + goal_dim} / {2 * action_dim}"
         )
     return PolicyNet.from_mlp(Mlp(sizes, weights, biases, activation),
-                              state_dim, goal_dim, action_dim, squash=squash)
+                              state_dim, goal_dim, action_dim)

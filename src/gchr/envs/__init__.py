@@ -7,7 +7,7 @@ from .base import (
     sparse_reward,
 )
 from .block_push import BlockPush2D
-from .l_maze import LMaze2D, goal_region_contains
+from .l_maze import LMaze2D
 from .point_reach import PointReach2D, scripted_reach_action
 from .tabular import TabularGCMDP, load_tabular_mdp, save_tabular_mdp, tabular_rollout
 
@@ -36,7 +36,6 @@ __all__ = [
     "sparse_reward",
     "BlockPush2D",
     "LMaze2D",
-    "goal_region_contains",
     "PointReach2D",
     "scripted_reach_action",
     "TabularGCMDP",

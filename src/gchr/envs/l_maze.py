@@ -19,18 +19,18 @@ BOTTOM_STRIP = (0.0, 1.0, 0.0, 0.4)
 RIGHT_STRIP = (0.6, 1.0, 0.0, 1.0)
 START_BOX = (0.08, 0.22, 0.08, 0.22)
 GOAL_BOX = (0.68, 0.95, 0.68, 0.95)
-
-
-def _in_box(p, box):
-    x0, x1, y0, y1 = box
-    x, y = p[..., 0], p[..., 1]
-    return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+# (x, y) lower and upper corners of the free space, one row per strip
+FREE_LOW = np.array([[BOTTOM_STRIP[0], BOTTOM_STRIP[2]], [RIGHT_STRIP[0], RIGHT_STRIP[2]]])
+FREE_HIGH = np.array([[BOTTOM_STRIP[1], BOTTOM_STRIP[3]], [RIGHT_STRIP[1], RIGHT_STRIP[3]]])
 
 
 def in_free_space(p):
-    """Per point of shape (..., 2): inside the bottom or the right strip."""
-    p = np.asarray(p)
-    return _in_box(p, BOTTOM_STRIP) | _in_box(p, RIGHT_STRIP)
+    """Per point of shape (..., 2): inside the bottom or the right strip,
+    edges included. Both strips are tested in one comparison per side."""
+    q = np.asarray(p)[..., None, :]
+    inside = (q >= FREE_LOW) & (q <= FREE_HIGH)  # (..., strip, axis)
+    per_strip = inside[..., 0] & inside[..., 1]
+    return per_strip[..., 0] | per_strip[..., 1]
 
 
 class LMaze2D(GoalEnv):
@@ -67,8 +67,3 @@ class LMaze2D(GoalEnv):
         return np.concatenate(
             [np.where(moves, target, pos), np.where(moves, vel, 0.0)], axis=-1
         )
-
-
-def goal_region_contains(goal):
-    """True if a goal lies inside the desired top-right sampling region."""
-    return _in_box(np.asarray(goal), GOAL_BOX)

@@ -1,9 +1,11 @@
 """Finite goal-conditioned MDPs with goal-absorbing dynamics.
 
-The transition tensor stores the raw dynamics; when `absorbing_goals` is
-set, querying transitions under an evaluated goal g overrides the rows of
-every state satisfying g with a self-loop. Goal satisfaction is exact id
-equality (phi maps each state to a goal id).
+The transition tensor stores the raw dynamics. Every MDP is goal-absorbing:
+under an evaluated goal g, each state satisfying g self-loops whatever the
+action. The lab's solvers write those rows over the raw dynamics by the
+goal set's state indices; no tensor with the override applied is stored.
+Goal satisfaction is exact id equality (phi maps each state to a goal id
+in [0, n_states), so no goal id can size a table beyond the state count).
 
 Text file format (see assets/chain3.mdp for a worked example):
 
@@ -17,7 +19,7 @@ Text file format (see assets/chain3.mdp for a worked example):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,6 @@ class TabularGCMDP:
     transitions: np.ndarray  # (S, A, S) raw dynamics
     phi: np.ndarray  # (S,) goal id per state
     gamma: float
-    absorbing_goals: bool = True
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
@@ -53,8 +54,8 @@ class TabularGCMDP:
             raise ValueError(f"transition tensor must be (S, A, S), got {self.transitions.shape}")
         if self.phi.shape != (self.transitions.shape[0],):
             raise ValueError("phi must assign one goal id per state")
-        if np.any(self.phi < 0):
-            raise ValueError("goal ids must be non-negative")
+        if np.any(self.phi < 0) or np.any(self.phi >= self.n_states):
+            raise ValueError(f"goal ids must lie in [0, {self.n_states}), the state count")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if np.any(self.transitions < 0):
@@ -68,17 +69,8 @@ class TabularGCMDP:
         """States s with phi(s) = goal."""
         return np.flatnonzero(self.phi == goal)
 
-    def effective_transitions(self, goal):
-        """Full (S, A, S) tensor with the absorbing override applied."""
-        p = self.transitions.copy()
-        if self.absorbing_goals:
-            for s in self.goal_states(goal):
-                p[s, :, :] = 0.0
-                p[s, :, s] = 1.0
-        return p
 
-
-def load_tabular_mdp(path, absorbing_goals=True):
+def load_tabular_mdp(path):
     n_states = n_actions = None
     gamma = None
     phi = None
@@ -119,7 +111,7 @@ def load_tabular_mdp(path, absorbing_goals=True):
             if len(row) != n_states:
                 raise ValueError(f"{path}: P row ({s}, {a}) has {len(row)} entries")
             transitions[s, a] = row
-    return TabularGCMDP(transitions, np.array(phi), gamma, absorbing_goals=absorbing_goals)
+    return TabularGCMDP(transitions, np.array(phi), gamma)
 
 
 def save_tabular_mdp(path, mdp, header_comment=None):

@@ -46,11 +46,11 @@ class PolicyNet(_MlpNet):
                    state_dim, goal_dim, action_dim, squash)
 
     @classmethod
-    def from_mlp(cls, mlp, state_dim, goal_dim, action_dim, squash=True):
-        """An actor around an existing trunk, e.g. one built from stored
-        arrays; no random initialization."""
+    def from_mlp(cls, mlp, state_dim, goal_dim, action_dim):
+        """A squashed actor around an existing trunk, e.g. one built from
+        stored arrays; no random initialization."""
         actor = cls.__new__(cls)
-        actor._bind(mlp, state_dim, goal_dim, action_dim, squash)
+        actor._bind(mlp, state_dim, goal_dim, action_dim, squash=True)
         return actor
 
     def _bind(self, mlp, state_dim, goal_dim, action_dim, squash):

@@ -11,7 +11,7 @@ File layout:
 The JSON header fixes both ordering and shapes, so a round trip restores
 every bit of every parameter. A save writes `<path>.tmp` and then renames it
 over `path`, so a save that fails midway leaves the previous checkpoint
-whole.
+whole; the partial `<path>.tmp` is removed before the error propagates.
 """
 
 from __future__ import annotations
@@ -28,12 +28,17 @@ MAGIC = b"GCHR-CKPT-1\n"
 def save_params(path, params):
     arrays = [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()]
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps({"arrays": arrays}).encode("ascii") + b"\n")
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(json.dumps({"arrays": arrays}).encode("ascii") + b"\n")
+            for arr in params.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_params(path):

@@ -137,7 +137,7 @@ class HerBuffer:
     """
 
     def __init__(self, state_dim, action_dim, goal_dim, success_tolerance,
-                 reward_convention="zero_one", capacity=1_000_000, goal_dedup_tol=None):
+                 reward_convention="zero_one", capacity=1_000_000):
         self.state_dim = int(state_dim)
         self.action_dim = int(action_dim)
         self.goal_dim = int(goal_dim)
@@ -146,10 +146,7 @@ class HerBuffer:
         self.capacity = int(capacity)
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
-        # dedup tolerance for hindsight goal sets defaults to tolerance / 10
-        self.goal_dedup_tol = (
-            self.success_tolerance / 10.0 if goal_dedup_tol is None else float(goal_dedup_tol)
-        )
+        self.goal_dedup_tol = self.success_tolerance / 10.0  # for hindsight goal sets
         self._n_transitions = 0
         self._n_stored = 0  # transitions ever stored, evicted ones included
         self._fill = 0  # rows used in the flat arrays (T+1 per trajectory)

@@ -4,12 +4,14 @@ Two parts, per evaluated goal g with goal set S_g:
 
 1. every state of S_g can reach every other state of S_g through some
    action sequence on the raw dynamics (paths may leave S_g);
-2. for every other goal g' that is reachable from S_g under the given
-   policy (some V(s, g') > 0 with s in S_g), the values V(., g') are
-   uniform over S_g up to the given delta.
+2. for every other goal g' that is reachable from S_g under the policy
+   (some V(s, g') > 0 with s in S_g), the values V(., g') are uniform over
+   S_g up to the given delta.
 
-The certificate lists concrete witnesses for every violation so failing
-fixtures explain themselves.
+Part 2 reads the policy's exact per-goal values, the (S, G) array that a
+`policy_iteration_step` sweep returns, so certifying every goal solves
+nothing beyond that sweep. The certificate lists concrete witnesses for
+every violation so failing fixtures explain themselves.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .solve import policy_evaluation_direct
 
 
 @dataclass
@@ -49,7 +49,8 @@ def _reachable_from(adjacency, start):
     return seen
 
 
-def check_assumption_uniform_reachability(mdp, policy, goal, delta):
+def check_assumption_uniform_reachability(mdp, values, goal, delta):
+    """Certificate for `goal`; `values` (S, G) are the policy's exact V."""
     goal_states = mdp.goal_states(goal)
 
     unreachable = []
@@ -68,8 +69,7 @@ def check_assumption_uniform_reachability(mdp, policy, goal, delta):
         for other in range(mdp.n_goals):
             if other == goal:
                 continue
-            _, v = policy_evaluation_direct(mdp, policy, other)
-            vals = v[goal_states]
+            vals = values[goal_states, other]
             if np.max(vals) <= 0.0:
                 continue  # g' unreachable from S_g under this policy
             spread = float(np.max(vals) - np.min(vals))

@@ -10,8 +10,7 @@ from ..envs.tabular import TabularGCMDP, tabular_rollout
 GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def make_gridworld(width, height, gamma, walls=(), slip=0.0, phi=None,
-                   absorbing_goals=True):
+def make_gridworld(width, height, gamma, walls=(), slip=0.0, phi=None):
     """Deterministic-or-slippery four-action gridworld over free cells.
 
     Moving into a wall or off the grid leaves the agent in place. With
@@ -40,7 +39,7 @@ def make_gridworld(width, height, gamma, walls=(), slip=0.0, phi=None,
                 transitions[s, a, landing] += slip / n_actions
     if phi is None:
         phi = np.arange(n_states)
-    return TabularGCMDP(transitions, np.asarray(phi), gamma, absorbing_goals=absorbing_goals)
+    return TabularGCMDP(transitions, np.asarray(phi), gamma)
 
 
 def grid_cells(width, height, walls=()):
@@ -49,7 +48,7 @@ def grid_cells(width, height, walls=()):
     return [(x, y) for y in range(height) for x in range(width) if (x, y) not in walls]
 
 
-def random_mdp(rng, n_states, n_actions, n_goals, gamma, absorbing_goals=True):
+def random_mdp(rng, n_states, n_actions, n_goals, gamma):
     """Dense random MDP; every goal id owns at least one state."""
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     phi = np.concatenate([
@@ -57,19 +56,12 @@ def random_mdp(rng, n_states, n_actions, n_goals, gamma, absorbing_goals=True):
         rng.integers(0, n_goals, size=n_states - n_goals),
     ])
     rng.shuffle(phi)
-    return TabularGCMDP(transitions, phi, gamma, absorbing_goals=absorbing_goals)
+    return TabularGCMDP(transitions, phi, gamma)
 
 
-def random_walk_log(mdp, n_episodes, horizon, rng, action_probs=None, start_states=None):
-    """Uniform-random (or given) walks on the raw dynamics; returns
-    (states, actions) pairs for the support analyses."""
-    if action_probs is None:
-        action_probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-    logs = []
-    for _ in range(n_episodes):
-        if start_states is None:
-            start = rng.integers(0, mdp.n_states)
-        else:
-            start = rng.choice(start_states)
-        logs.append(tabular_rollout(mdp, action_probs, start, horizon, rng))
-    return logs
+def random_walk_log(mdp, n_episodes, horizon, rng):
+    """Uniform-random walks on the raw dynamics from uniform-random start
+    states; returns (states, actions) pairs for the support analyses."""
+    action_probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+    return [tabular_rollout(mdp, action_probs, rng.integers(0, mdp.n_states), horizon, rng)
+            for _ in range(n_episodes)]

@@ -7,6 +7,11 @@ sweep the checker recomputes every via-goal value and both of its factors
 records the worst per-sweep change. The pointwise claim is verified
 directly; the uniform-goal-weighted average is reported alongside.
 
+The theorem's hypothesis, uniform reachability, is certified for every goal
+under the initial policy from the first sweep's values, so each sweep solves
+one linear system per (policy, goal) and nothing else: n_iterations * G
+direct solves per check.
+
 Memory is O(S*G + S^2), not O(S*G^2): each sweep keeps only its
 `via_goal_factors` and its (S, G) values, and the margins walk the subgoals
 one (S, G) slice of each sweep at a time. The goal sets are disjoint, so one
@@ -24,6 +29,8 @@ from .policy import TabularPolicy
 from .solve import policy_iteration_step
 from .via_goal import via_goal_factors, via_goal_slice
 
+REACHABILITY_DELTA = 1e-9  # tolerance on V(., g') spread over a goal set
+
 
 @dataclass
 class MonotonicityReport:
@@ -40,37 +47,33 @@ class MonotonicityReport:
         return self.min_via_diff >= -tol
 
 
-def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e-9,
-                                initial_policy=None):
+def check_theorem2_monotonicity(mdp, n_iterations=5, initial_policy=None):
     """Run n_iterations exact policy-improvement sweeps and track via-goal margins.
 
-    goal_weights weighs the subgoal average (uniform by default). The
-    uniform-reachability certificate is evaluated for every goal under the
-    initial policy; its verdict gates the theorem's hypothesis.
+    The subgoal average weighs every goal by 1 / G. The uniform-reachability
+    certificate (with tolerance REACHABILITY_DELTA) is evaluated for every
+    goal under the initial policy; its verdict gates the theorem's hypothesis.
     """
     n_goals = mdp.n_goals
-    if goal_weights is None:
-        goal_weights = np.full(n_goals, 1.0 / n_goals)
-    else:
-        goal_weights = np.asarray(goal_weights, dtype=np.float64)
-        if goal_weights.shape != (n_goals,):
-            raise ValueError("goal_weights must have one entry per goal")
-
     policy = initial_policy or TabularPolicy.uniform(mdp.n_states, n_goals, mdp.n_actions)
+    # one exact solve per goal serves the improvement, the via values and,
+    # on the first sweep, the certificates
+    improved, values = policy_iteration_step(mdp, policy)
     certificates = [
-        check_assumption_uniform_reachability(mdp, policy, g, delta) for g in range(n_goals)
+        check_assumption_uniform_reachability(mdp, values, g, REACHABILITY_DELTA)
+        for g in range(n_goals)
     ]
     assumption_holds = all(c.holds for c in certificates)
 
     mins = {"via": np.inf, "hit": np.inf, "down": np.inf, "weighted": np.inf}
     per_sweep = []
     prev = None
-    for _ in range(max(1, n_iterations)):
-        # one exact solve per goal serves both the improvement and the via values
-        improved, values = policy_iteration_step(mdp, policy)
+    for sweep in range(max(1, n_iterations)):
+        if sweep:
+            improved, values = policy_iteration_step(mdp, policy)
         current = (via_goal_factors(mdp, policy, values), values)
         if prev is not None:
-            diffs = _sweep_margins(mdp, prev, current, goal_weights)
+            diffs = _sweep_margins(mdp, prev, current)
             per_sweep.append(diffs)
             for key, diff in diffs.items():
                 mins[key] = min(mins[key], diff)
@@ -91,23 +94,24 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, goal_weights=None, delta=1e
     )
 
 
-def _sweep_margins(mdp, prev, current, goal_weights):
+def _sweep_margins(mdp, prev, current):
     """The four worst changes from one sweep's (factors, values) to the next,
     one subgoal slice of each at a time."""
     (prev_factors, prev_values), (factors, values) = prev, current
+    weight = 1.0 / mdp.n_goals
     prev_defined, defined = prev_factors[1], factors[1]
     via_diff = down_diff = np.inf
     prev_weighted = np.zeros_like(values)
     weighted = np.zeros_like(values)
-    for sub in range(len(goal_weights)):
+    for sub in range(mdp.n_goals):
         prev_down, prev_via = via_goal_slice(mdp, prev_factors, prev_values, sub)
         down, via = via_goal_slice(mdp, factors, values, sub)
         via_diff = min(via_diff, float(np.min(via - prev_via)))
         both_defined = prev_defined[:, sub] & defined[:, sub]
         if np.any(both_defined):
             down_diff = min(down_diff, float(np.min((down - prev_down)[both_defined])))
-        prev_weighted += prev_via * goal_weights[sub]
-        weighted += via * goal_weights[sub]
+        prev_weighted += prev_via * weight
+        weighted += via * weight
     return {
         "via": via_diff,
         "hit": float(np.min(factors[0] - prev_factors[0])),

@@ -42,8 +42,6 @@ class OccupancyTable:
 
 def compute_occupancy(mdp, policy, goal):
     """Solve the discounted visitation linear system exactly for one goal."""
-    if not mdp.absorbing_goals:
-        raise ValueError("occupancies are defined on the goal-absorbing formulation")
     gamma = mdp.gamma
     n = mdp.n_states
     p_pi = policy_transition_matrix(mdp, policy, goal)
@@ -51,9 +49,12 @@ def compute_occupancy(mdp, policy, goal):
     goal_states = mdp.goal_states(goal)
     first_hit = np.zeros((n, n))
     first_hit[:, goal_states], hit_mass = first_hit_columns(p_pi, goal_states, gamma)
-    p_eff = mdp.effective_transitions(goal)
-    # d = (1 - gamma) * (I + gamma * P_eff R), built in the product's buffer
-    d = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
+    # d = (1 - gamma) * (I + gamma * P_eff R), built in the product's buffer.
+    # P_eff is the raw dynamics with each goal state's rows one-hot on itself,
+    # and a one-hot row times R is exactly that row of R, so the product runs
+    # on the raw rows and the goal rows are written by index.
+    d = (mdp.transitions.reshape(-1, n) @ resolvent).reshape(mdp.transitions.shape)
+    d[goal_states] = resolvent[goal_states, None, :]
     d *= gamma
     d[np.arange(n), :, np.arange(n)] += 1.0
     d *= 1.0 - gamma

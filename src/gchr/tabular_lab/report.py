@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotonic import check_theorem2_monotonicity
+from .monotonic import REACHABILITY_DELTA, check_theorem2_monotonicity
 from .occupancy import HIT_MASS_FLOOR, compute_occupancy, q_from_occupancy
 from .policy import TabularPolicy
 from .solve import EvaluationNotConverged, policy_evaluation_iterative
@@ -22,7 +22,10 @@ class CheckResult:
     detail: str = ""
 
 
-def verify_tabular(mdp, seed=0, n_policies=3, pi_sweeps=4, delta=1e-9):
+N_POLICIES = 3  # the uniform policy, then random ones drawn from the seed
+
+
+def verify_tabular(mdp, seed=0, pi_sweeps=4):
     """Run every identity and theorem check on one MDP.
 
     Margins are worst-case absolute errors (or, for the monotonicity checks,
@@ -33,7 +36,7 @@ def verify_tabular(mdp, seed=0, n_policies=3, pi_sweeps=4, delta=1e-9):
     policies = [TabularPolicy.uniform(mdp.n_states, mdp.n_goals, mdp.n_actions)]
     policies += [
         TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)
-        for _ in range(max(0, n_policies - 1))
+        for _ in range(N_POLICIES - 1)
     ]
 
     results = []
@@ -89,12 +92,12 @@ def verify_tabular(mdp, seed=0, n_policies=3, pi_sweeps=4, delta=1e-9):
                                hit_mass_margin, 1e-9))
 
     # the monotonicity check certifies its hypothesis under the same uniform policy
-    report = check_theorem2_monotonicity(mdp, n_iterations=pi_sweeps, delta=delta)
+    report = check_theorem2_monotonicity(mdp, n_iterations=pi_sweeps)
     certs = report.certificates
     n_bad = sum(not c.holds for c in certs)
     results.append(CheckResult(
         "uniform_reachability_certificate", n_bad == 0, float(n_bad), 0.0,
-        f"{len(certs) - n_bad}/{len(certs)} goals certified (delta={delta:g})",
+        f"{len(certs) - n_bad}/{len(certs)} goals certified (delta={REACHABILITY_DELTA:g})",
     ))
 
     via_margin = max(0.0, -report.min_via_diff)

@@ -1,6 +1,6 @@
 """Exact evaluation and improvement of tabular goal-conditioned policies.
 
-All values use the goal-absorbing formulation with reward r(s) = 1{phi(s)=g}
+Every MDP is goal-absorbing (see envs.tabular), with reward r(s) = 1{phi(s)=g}
 collected at every timestep from t = 0 on, so a state already satisfying the
 goal is worth exactly 1/(1-gamma). The goal-absorbing rows are written over
 the raw dynamics by the goal set's state indices; no (S, A, S) copy with the
@@ -34,19 +34,16 @@ def policy_transition_matrix(mdp, policy, goal):
     policy's slice for that goal."""
     pi = policy.for_goal(goal)
     p_pi = np.einsum("sa,sax->sx", pi, mdp.transitions)
-    if mdp.absorbing_goals:
-        # a goal state's self-loop carries its whole action row, summed in
-        # the order the contraction over an absorbing row would take
-        states = mdp.goal_states(goal)
-        p_pi[states] = 0.0
-        p_pi[states, states] = pi[states].sum(axis=1)
+    # a goal state's self-loop carries its whole action row, summed in the
+    # order the contraction over an absorbing row would take
+    states = mdp.goal_states(goal)
+    p_pi[states] = 0.0
+    p_pi[states, states] = pi[states].sum(axis=1)
     return p_pi
 
 
 def policy_evaluation_direct(mdp, policy, goal):
     """Exact (Q, V) for one goal via a dense linear solve."""
-    if not mdp.absorbing_goals:
-        raise ValueError("evaluation requires the goal-absorbing formulation")
     r = reward_vector(mdp, goal)
     p_pi = policy_transition_matrix(mdp, policy, goal)
     n = mdp.n_states
@@ -85,8 +82,6 @@ def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=None):
     alone; goals still moving after max_iters (by default sweep_cap(gamma,
     tol)) raise EvaluationNotConverged.
     """
-    if not mdp.absorbing_goals:
-        raise ValueError("evaluation requires the goal-absorbing formulation")
     if max_iters is None:
         max_iters = sweep_cap(mdp.gamma, tol)
     n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals

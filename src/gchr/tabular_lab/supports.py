@@ -15,13 +15,15 @@ import numpy as np
 
 from .policy import TabularPolicy
 
+SMOOTHING = 1e-8  # additive count in behavior_clone
 
-def behavior_clone(logs, phi, n_goals, n_actions, smoothing=1e-8):
+
+def behavior_clone(logs, phi, n_goals, n_actions):
     """Tabular behavior cloning on the future-relabeled log.
 
     Every (s_t, a_t) pair is credited to every goal achieved at t' >= t in
     its trajectory (the achievable-future-goal window, endpoint included).
-    Additive smoothing keeps unvisited (state, goal) slices uniform and
+    Additive SMOOTHING keeps unvisited (state, goal) slices uniform and
     visited slices bounded away from zero.
     """
     phi = np.asarray(phi)
@@ -32,7 +34,7 @@ def behavior_clone(logs, phi, n_goals, n_actions, smoothing=1e-8):
         horizon = len(actions)
         for t in range(horizon):
             np.add.at(counts, (states[t], goals[t:], actions[t]), 1.0)
-    counts += smoothing
+    counts += SMOOTHING
     return TabularPolicy(counts / counts.sum(axis=2, keepdims=True))
 
 

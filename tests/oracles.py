@@ -161,6 +161,20 @@ def _scalar_in_box(x, y, box):
     return x0 <= x <= x1 and y0 <= y <= y1
 
 
+def _in_box(p, box):
+    """Per point of shape (..., 2): inside the (x0, x1, y0, y1) box, edges included."""
+    x0, x1, y0, y1 = box
+    x, y = p[..., 0], p[..., 1]
+    return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+
+
+def goal_region_contains(goal):
+    """True if a goal lies inside l_maze's desired top-right sampling region."""
+    from gchr.envs.l_maze import GOAL_BOX
+
+    return _in_box(np.asarray(goal), GOAL_BOX)
+
+
 def scalar_l_maze_dynamics(state, action):
     """One l_maze step for one state with scalar branches: the full move if
     it stays free, else the x slide, else the y slide, else a stop."""
@@ -372,13 +386,82 @@ def separate_pass_actor_loss(batch, priors, nets, cfg, rng, noise, prior_actions
     return loss, grad, parts
 
 
+def absorbing_transitions(mdp, goal):
+    """Full (S, A, S) copy of the raw dynamics with every state satisfying
+    `goal` made a self-loop under every action: the goal-absorbing tensor
+    that the library's solvers never build, written out as the reference."""
+    p = mdp.transitions.copy()
+    for s in mdp.goal_states(goal):
+        p[s, :, :] = 0.0
+        p[s, :, s] = 1.0
+    return p
+
+
+def absorbing_tensor_occupancy_d(mdp, policy, goal):
+    """The (S, A, S) future-state occupancy d = (1 - gamma) (I + gamma P_eff R)
+    as one matmul on the copied goal-absorbing tensor P_eff, with R the
+    policy's resolvent: the reference for compute_occupancy, which runs the
+    product on the raw rows and writes the goal rows by index."""
+    from gchr.tabular_lab import policy_transition_matrix
+
+    gamma, n = mdp.gamma, mdp.n_states
+    p_pi = policy_transition_matrix(mdp, policy, goal)
+    resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
+    p_eff = absorbing_transitions(mdp, goal)
+    d = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
+    d *= gamma
+    d[np.arange(n), :, np.arange(n)] += 1.0
+    d *= 1.0 - gamma
+    return d
+
+
+def per_goal_solve_certificate(mdp, policy, goal, delta):
+    """The uniform-reachability certificate with part 2 read from one direct
+    solve per other goal of the policy: the reference for the library's
+    certificate, which reads the same values from a policy-iteration sweep."""
+    from gchr.tabular_lab import ReachabilityCertificate, policy_evaluation_direct
+
+    goal_states = mdp.goal_states(goal)
+    unreachable = []
+    if len(goal_states) > 1:
+        adjacency = mdp.transitions.max(axis=1) > 0.0
+        for s in goal_states:
+            seen = np.zeros(mdp.n_states, dtype=bool)
+            stack = [int(s)]
+            while stack:  # depth-first search on the raw dynamics
+                u = stack.pop()
+                if not seen[u]:
+                    seen[u] = True
+                    stack.extend(int(t) for t in np.flatnonzero(adjacency[u]))
+            unreachable += [(int(s), int(t)) for t in goal_states if not seen[t]]
+    violations = []
+    max_spread = 0.0
+    if len(goal_states) > 1:
+        for other in range(mdp.n_goals):
+            if other == goal:
+                continue
+            vals = policy_evaluation_direct(mdp, policy, other)[1][goal_states]
+            if np.max(vals) <= 0.0:
+                continue
+            spread = float(np.max(vals) - np.min(vals))
+            max_spread = max(max_spread, spread)
+            if spread >= delta:
+                violations.append((int(other), spread, int(goal_states[np.argmax(vals)]),
+                                   int(goal_states[np.argmin(vals)])))
+    return ReachabilityCertificate(
+        goal=int(goal), delta=float(delta), holds=not unreachable and not violations,
+        part1_ok=not unreachable, part2_ok=not violations, unreachable_pairs=unreachable,
+        spread_violations=violations, max_spread=max_spread,
+    )
+
+
 def step_distribution(mdp, s, a, goal):
     """Next-state distribution of one (s, a) under an evaluated goal, read
-    row by row: a goal-satisfying state self-loops when absorbing_goals is
-    set; any other state keeps its raw row."""
+    row by row: a goal-satisfying state self-loops; any other state keeps
+    its raw row."""
     if not (0 <= s < mdp.n_states and 0 <= a < mdp.n_actions):
         raise IndexError(f"state/action ({s}, {a}) out of range")
-    if mdp.absorbing_goals and mdp.phi[s] == goal:
+    if mdp.phi[s] == goal:
         row = np.zeros(mdp.n_states)
         row[s] = 1.0
         return row
@@ -413,7 +496,7 @@ def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_00
     written out, until the sup-norm update falls to tol: the reference for
     the batched policy_evaluation_iterative. Returns (q, v, sweeps)."""
     r = (mdp.phi == goal).astype(np.float64)
-    p_eff = mdp.effective_transitions(goal)
+    p_eff = absorbing_transitions(mdp, goal)
     pi = policy.for_goal(goal)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for sweep in range(1, max_iters + 1):
@@ -513,7 +596,7 @@ def via_goal_tensor(mdp, policy, values):
     return v_via, p_hit, downstream, defined
 
 
-def tensor_theorem2_margins(mdp, n_iterations, goal_weights=None, initial_policy=None):
+def tensor_theorem2_margins(mdp, n_iterations, initial_policy=None):
     """The Theorem 2 margins from whole (S, G, G') tensors of consecutive
     policy-iteration sweeps: the reference for the streamed
     check_theorem2_monotonicity. Returns one {"via", "hit", "down",
@@ -521,8 +604,7 @@ def tensor_theorem2_margins(mdp, n_iterations, goal_weights=None, initial_policy
     from gchr.tabular_lab import TabularPolicy, policy_iteration_step
 
     n_goals = mdp.n_goals
-    if goal_weights is None:
-        goal_weights = np.full(n_goals, 1.0 / n_goals)
+    goal_weights = np.full(n_goals, 1.0 / n_goals)
     policy = initial_policy or TabularPolicy.uniform(mdp.n_states, n_goals, mdp.n_actions)
     per_sweep = []
     prev = None

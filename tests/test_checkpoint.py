@@ -68,6 +68,7 @@ def test_save_failing_midway_leaves_the_old_checkpoint_loadable(tmp_path):
     with pytest.raises(OSError, match="no space"):
         save_params(path, {"w": np.ones(4), "b": _FailsMidWrite()})
     assert path.read_bytes() == old_bytes
+    assert not (tmp_path / "c.ckpt.tmp").exists()
     loaded = load_params(path)
     for name, arr in old.items():
         assert loaded[name].tobytes() == arr.tobytes()

@@ -9,7 +9,6 @@ from gchr.envs import (
     LMaze2D,
     PointReach2D,
     TabularGCMDP,
-    goal_region_contains,
     load_tabular_mdp,
     make_env,
     save_tabular_mdp,
@@ -18,9 +17,11 @@ from gchr.envs import (
 )
 from gchr.envs.base import is_success, row_norm
 from gchr.envs.block_push import CONTACT_DIST, DT
-from gchr.envs.l_maze import in_free_space
+from gchr.envs.l_maze import BOTTOM_STRIP, RIGHT_STRIP, in_free_space
 from gchr.replay import HerBuffer, HerConfig, Trajectory
 from oracles import (
+    _scalar_in_box,
+    goal_region_contains,
     per_episode_reset,
     scalar_block_push_dynamics,
     scalar_l_maze_dynamics,
@@ -187,6 +188,24 @@ def test_l_maze_wall_slide_zeroes_blocked_velocity():
     assert nxt[0] > 0.3
     assert nxt[3] == 0.0 and nxt[2] > 0.0
     assert in_free_space(nxt[:2])
+
+
+def scalar_free(x, y):
+    return _scalar_in_box(x, y, BOTTOM_STRIP) or _scalar_in_box(x, y, RIGHT_STRIP)
+
+
+def test_in_free_space_equals_the_scalar_box_tests_on_random_points_and_strip_edges(rng):
+    # every strip edge and its neighbouring doubles, crossed with themselves
+    edges = [0.0, 0.4, 0.6, 1.0]
+    coords = sorted({c for e in edges for c in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))})
+    grid = np.array([(x, y) for x in coords for y in coords])
+    points = rng.uniform(-0.2, 1.2, size=(3, 1000, 2))
+    for p in (grid, points, points[0, 0], np.array([[np.nan, 0.2], [0.2, np.nan]])):
+        want = np.array([scalar_free(x, y) for x, y in p.reshape(-1, 2)]).reshape(p.shape[:-1])
+        got = in_free_space(p)
+        assert got.shape == want.shape and got.dtype == bool
+        assert np.array_equal(got, want)
+    assert in_free_space(grid).any() and not in_free_space(grid).all()
 
 
 def test_l_maze_never_leaves_free_space():
@@ -421,6 +440,18 @@ def test_invalid_rows_rejected():
     bad[1, 0] = [1.0, 0.0]
     with pytest.raises(ValueError, match="sums"):
         TabularGCMDP(bad, phi=np.array([0, 1]), gamma=0.9)
+
+
+def test_goal_ids_at_or_past_the_state_count_rejected():
+    # goal ids size every (S, G) and (S, G, A) table of the lab
+    with pytest.raises(ValueError, match=r"goal ids must lie in \[0, 1\)"):
+        TabularGCMDP(np.ones((1, 1, 1)), phi=np.array([5]), gamma=0.9)
+    for phi in ([0, 2], [0, -1]):  # one past the last legal id, and a negative one
+        with pytest.raises(ValueError, match="goal ids"):
+            TabularGCMDP(np.full((2, 1, 2), 0.5), phi=np.array(phi), gamma=0.9)
+    # gaps below the state count stay legal
+    mdp = TabularGCMDP(np.full((3, 1, 3), 1.0 / 3.0), phi=np.array([0, 2, 2]), gamma=0.9)
+    assert mdp.n_goals == 3 and len(mdp.goal_states(1)) == 0
 
 
 def test_phi_consistency_with_goal_sets():

@@ -379,6 +379,11 @@ def test_cli_tabular_verify_bad_files_exit_1(tmp_path, capsys):
     assert "phi lists 2 entries" in capsys.readouterr().err
     assert main(["tabular-verify", "--mdp", str(tmp_path / "missing.mdp")]) == 1
     assert "run failed" in capsys.readouterr().err
+    # a goal id past the state count would size the lab's tables by it
+    far_goal = tmp_path / "far_goal.mdp"
+    far_goal.write_text("n_states 1\nn_actions 1\ngamma 0.5\nphi 5\nP 0 0 1.0\n")
+    assert main(["tabular-verify", "--mdp", str(far_goal)]) == 1
+    assert "goal ids must lie in [0, 1)" in capsys.readouterr().err
 
 
 def test_cli_tabular_verify_reports_non_convergence_and_exits_1(monkeypatch, capsys):

@@ -19,6 +19,8 @@ from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
 from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix, sweep_cap
 
 from oracles import (
+    absorbing_tensor_occupancy_d,
+    absorbing_transitions,
     geometric_tail,
     goal_major_iterative_evaluation,
     per_goal_iterative_evaluation,
@@ -73,7 +75,7 @@ def test_occupancy_matches_truncated_power_iteration(rng):
     policy = TabularPolicy.random(5, 3, 2, rng)
     goal = 1
     table = compute_occupancy(mdp, policy, goal)
-    p_eff = mdp.effective_transitions(goal)
+    p_eff = absorbing_transitions(mdp, goal)
     p_pi = policy_transition_matrix(mdp, policy, goal)
     acc = np.zeros((5, 5))
     power = np.eye(5)
@@ -110,7 +112,7 @@ def test_occupancy_d_matches_einsum_reference(rng):
         table = compute_occupancy(mdp, policy, goal)
         p_pi = policy_transition_matrix(mdp, policy, goal)
         resolvent = np.linalg.solve(np.eye(20) - 0.9 * p_pi, np.eye(20))
-        p_eff = mdp.effective_transitions(goal)
+        p_eff = absorbing_transitions(mdp, goal)
         d_ref = (1 - 0.9) * (
             np.eye(20)[:, None, :] + 0.9 * np.einsum("sax,xy->say", p_eff, resolvent)
         )
@@ -230,6 +232,30 @@ def test_action_major_and_goal_major_evaluation_stop_the_same_goals_at_a_cap(rng
         assert got.value.goals == want.value.goals and got.value.goals
 
 
+BIT_EQUAL_CASES = {
+    # goal sets of 1, 2 and 3 grid cells, then dense rows with goal sets of several states
+    "grid_sets_of_1": lambda rng: make_gridworld(5, 4, gamma=0.9, slip=0.3),
+    "grid_sets_of_2": lambda rng: make_gridworld(5, 4, gamma=0.9, slip=0.3,
+                                                 phi=np.arange(20) // 2),
+    "grid_sets_of_3": lambda rng: make_gridworld(5, 4, gamma=0.9, slip=0.3,
+                                                 phi=np.arange(20) // 3),
+    "dense_random": lambda rng: random_mdp(rng, 9, 3, 4, 0.95),
+}
+
+
+@pytest.mark.parametrize("name", list(BIT_EQUAL_CASES))
+def test_occupancy_equals_the_absorbing_tensor_matmul_bit_for_bit(name, rng):
+    # goal rows written by index are exactly the rows a one-hot P_eff row
+    # picks out of the resolvent; the other rows run the same product
+    mdp = BIT_EQUAL_CASES[name](rng)
+    assert name != "dense_random" or np.bincount(mdp.phi).max() > 1
+    for policy in (uniform_policy(mdp),
+                   TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)):
+        for goal in range(mdp.n_goals):
+            d_ref = absorbing_tensor_occupancy_d(mdp, policy, goal)
+            assert np.array_equal(compute_occupancy(mdp, policy, goal).d, d_ref)
+
+
 def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):
     # the policy matrix and the direct Q overwrite the goal set's rows of the
     # raw dynamics; the old route contracted the copied absorbing tensor
@@ -237,7 +263,7 @@ def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):
     mdp = make_gridworld(5, 4, gamma=0.9, slip=0.3, phi=phi)
     policy = TabularPolicy.random(20, mdp.n_goals, 4, rng)
     for goal in range(mdp.n_goals):
-        p_eff = mdp.effective_transitions(goal)
+        p_eff = absorbing_transitions(mdp, goal)
         p_pi = np.einsum("sa,sax->sx", policy.for_goal(goal), p_eff)
         np.testing.assert_array_equal(policy_transition_matrix(mdp, policy, goal), p_pi)
         q, v = policy_evaluation_direct(mdp, policy, goal)
@@ -245,10 +271,7 @@ def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):
         np.testing.assert_array_equal(q, q_ref)
 
 
-def test_iterative_evaluation_raises_off_the_absorbing_formulation_and_at_the_cap(rng):
-    mdp = random_mdp(rng, 5, 2, 3, 0.9, absorbing_goals=False)
-    with pytest.raises(ValueError, match="absorbing"):
-        policy_evaluation_iterative(mdp, TabularPolicy.uniform(5, 3, 2))
+def test_iterative_evaluation_raises_at_the_cap(rng):
     mdp = random_mdp(rng, 5, 2, 3, 0.9)
     with pytest.raises(RuntimeError, match="did not converge") as info:
         policy_evaluation_iterative(mdp, TabularPolicy.uniform(5, 3, 2), max_iters=20)
@@ -318,12 +341,6 @@ def test_unreachable_goal_has_zero_hit_mass():
     table = compute_occupancy(mdp, TabularPolicy.uniform(3, 3, 1), goal=2)
     assert table.hit_mass[0] <= HIT_MASS_FLOOR
     assert np.all(table.first_hit[0] == 0.0)
-
-
-def test_non_absorbing_formulation_rejected(rng):
-    mdp = random_mdp(rng, 4, 2, 2, 0.9, absorbing_goals=False)
-    with pytest.raises(ValueError, match="absorbing"):
-        compute_occupancy(mdp, TabularPolicy.uniform(4, 2, 2), 0)
 
 
 def one_goal_state_mdp(gamma):

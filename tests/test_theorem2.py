@@ -147,3 +147,32 @@ def test_streamed_margins_equal_the_tensor_oracle_when_sweeps_make_values_worse(
     monkeypatch.setattr(monotonic, "policy_iteration_step", alternate)
     report = assert_margins_match_the_tensor_oracle(mdp, one_action, tol=0.0)
     assert not report.monotone()
+
+
+def count_direct_solves(monkeypatch):
+    """Wrap policy_evaluation_direct under every name a gchr module binds it
+    to; returns the list the wrapper appends each call's goal to."""
+    import sys
+
+    calls = []
+
+    def counting(mdp, policy, goal):
+        calls.append(goal)
+        return policy_evaluation_direct(mdp, policy, goal)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gchr") and vars(module).get("policy_evaluation_direct") is \
+                policy_evaluation_direct:
+            monkeypatch.setattr(module, "policy_evaluation_direct", counting)
+    return calls
+
+
+@pytest.mark.parametrize("set_size", [1, 2, 3])
+def test_one_direct_solve_per_sweep_and_goal(set_size, monkeypatch):
+    # the certificates read the first sweep's values, so goal sets of several
+    # states cost no solves beyond n_iterations * G
+    mdp = make_gridworld(4, 3, gamma=0.9, slip=0.2, phi=np.arange(12) // set_size)
+    calls = count_direct_solves(monkeypatch)
+    report = check_theorem2_monotonicity(mdp, n_iterations=3)
+    assert len(report.certificates) == mdp.n_goals
+    assert calls == list(range(mdp.n_goals)) * 3
