@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs.base import REWARD_CONVENTIONS, reward_value_bounds
+from .envs.base import reward_value_bounds
 from .nn import (
     AdamState,
     CriticNet,
@@ -64,7 +64,6 @@ class GchrConfig:
     polyak: float = 0.95  # target <- polyak * target + (1 - polyak) * online
     batch_size: int = 256
     updates_per_cycle: int = 40
-    hindsight_goals: int | None = None  # fixed K; None derives K from the fraction
     hindsight_goal_fraction: float = 1.0  # K = ceil(fraction * |goal set|), at least 1
     prior_source: str = "target_actor"
     tau_delay: int = 40
@@ -73,7 +72,6 @@ class GchrConfig:
     learning_rate: float = 1e-3
     hidden_sizes: tuple = (64, 64)
     activation: str = "relu"
-    reward_convention: str = "zero_one"
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -84,14 +82,10 @@ class GchrConfig:
             raise ValueError("polyak must lie in (0, 1)")
         if self.prior_source not in PRIOR_SOURCES:
             raise ValueError(f"prior_source must be one of {PRIOR_SOURCES}")
-        if self.reward_convention not in REWARD_CONVENTIONS:
-            raise ValueError(f"reward_convention must be one of {REWARD_CONVENTIONS}")
         if self.prior_mc_samples < 1 or self.batch_size < 1 or self.updates_per_cycle < 1:
             raise ValueError("counts must be positive")
         if not 0.0 < self.hindsight_goal_fraction <= 1.0:
             raise ValueError("hindsight_goal_fraction must lie in (0, 1]")
-        if self.hindsight_goals is not None and self.hindsight_goals < 1:
-            raise ValueError("hindsight_goals must be >= 1 when set")
         if self.tau_delay < 1:
             raise ValueError("tau_delay must be >= 1")
         if self.learning_rate <= 0.0:
@@ -136,9 +130,8 @@ class AgentNets:
 
 def resolve_k(cfg, n_available):
     """Number of mixture components for hindsight goal sets of the given
-    sizes (an array of sizes)."""
-    if cfg.hindsight_goals is not None:
-        return np.full_like(n_available, cfg.hindsight_goals, dtype=np.int64)
+    sizes (an array of sizes); with a fraction in (0, 1], never more than
+    the set's size."""
     k = np.ceil(cfg.hindsight_goal_fraction * np.asarray(n_available))
     return np.maximum(1, k).astype(np.int64)
 
@@ -178,11 +171,10 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
     component set is the whole hindsight goal set: the batch's goal table
     is used as it is. Otherwise each element's K goals are gathered from
     its row of the table: the whole set in first-visit order where K equals
-    its size, K uniform draws with replacement where K exceeds it (one
-    random((rows, K_max)) call), and the first K of a uniform random order
-    of the set where K is smaller (one random((rows, table width)) call,
-    argsorted with the padding slots last), so a uniform K-subset without
-    replacement. Slots past an element's K are padding, never read.
+    its size, and the first K of a uniform random order of the set where K
+    is smaller (one random((rows, table width)) call, argsorted with the
+    padding slots last), so a uniform K-subset without replacement. Slots
+    past an element's K are padding, never read.
     """
     counts = batch.goal_counts
     ks = resolve_k(cfg, counts)
@@ -191,16 +183,10 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
     n, width = batch.goal_table.shape[:2]
     slot = np.arange(int(ks.max()))
     idx = np.where(slot < counts[:, None], slot, 0)
-    over = ks > counts
-    if over.any():
-        draws = np.floor(rng.random((int(over.sum()), len(slot))) * counts[over, None])
-        idx[over] = draws.astype(np.int64)
     under = ks < counts
-    if under.any():
-        keys = rng.random((int(under.sum()), width))
-        keys[np.arange(width) >= counts[under, None]] = np.inf
-        order = np.argsort(keys, axis=1)[:, : len(slot)]
-        idx[under, : order.shape[1]] = order
+    keys = rng.random((int(under.sum()), width))
+    keys[np.arange(width) >= counts[under, None]] = np.inf
+    idx[under] = np.argsort(keys, axis=1)[:, : len(slot)]
     padded = batch.goal_table[np.arange(n)[:, None], idx]
     return BatchedHgrPriors(batch.states, padded, ks, nets.prior_actor(cfg))
 
@@ -213,7 +199,8 @@ def critic_loss(batch, nets, cfg):
 
     The bootstrap action is the target actor's distribution mode and the
     target value comes from the target critic; targets are clipped to the
-    feasible value range of the reward convention.
+    feasible value range of the reward convention the batch was sampled
+    under.
     """
     target_action = nets.target_actor.mean_action(batch.next_states, batch.goals)
     next_q = nets.target_critic.q(batch.next_states, target_action, batch.goals)
@@ -221,7 +208,7 @@ def critic_loss(batch, nets, cfg):
     if not np.all(np.isfinite(targets)):
         bad = int(np.flatnonzero(~np.isfinite(targets))[0])
         raise FloatingPointError(f"non-finite TD target at batch index {bad}")
-    lo, hi = reward_value_bounds(cfg.reward_convention, cfg.gamma)
+    lo, hi = reward_value_bounds(batch.reward_convention, cfg.gamma)
     targets = np.clip(targets, lo, hi)
     q, cache = nets.critic.q_cached(batch.states, batch.actions, batch.goals)
     err = q - targets

@@ -58,10 +58,11 @@ class TabularGCMDP:
             raise ValueError(f"goal ids must lie in [0, {self.n_states}), the state count")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if np.any(self.transitions < 0):
-            raise ValueError("transition probabilities must be non-negative")
+        # written so that a NaN fails each test
+        if not np.all(self.transitions >= 0):
+            raise ValueError("transition probabilities must be non-negative, not NaN")
         row_sums = self.transitions.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):
             worst = np.unravel_index(np.argmax(np.abs(row_sums - 1.0)), row_sums.shape)
             raise ValueError(f"transition row {worst} sums to {row_sums[worst]!r}, not 1")
 
@@ -102,11 +103,14 @@ def load_tabular_mdp(path):
         raise ValueError(f"{path}: header must define n_states, n_actions, gamma and phi")
     if len(phi) != n_states:
         raise ValueError(f"{path}: phi lists {len(phi)} entries for {n_states} states")
-    transitions = np.zeros((n_states, n_actions, n_states))
+    # every row is checked for before the (S, A, S) tensor is allocated
     for s in range(n_states):
         for a in range(n_actions):
             if (s, a) not in rows:
                 raise ValueError(f"{path}: missing P row for state {s}, action {a}")
+    transitions = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
             row = rows[(s, a)]
             if len(row) != n_states:
                 raise ValueError(f"{path}: P row ({s}, {a}) has {len(row)} entries")

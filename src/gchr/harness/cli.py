@@ -40,7 +40,7 @@ def _load(args):
 def cmd_train(args):
     cfg = _load(args)
     run_dir = _resolve_run_dir(cfg, args.output)
-    print(f"[gchr] training {cfg.env_name} -> {run_dir} (seeds {list(cfg.seeds)})")
+    print(f"[gchr] training {cfg.env['name']} -> {run_dir} (seeds {list(cfg.seeds)})")
     run_training(cfg, run_dir)
     for seed, success in final_success_per_seed(run_dir, cfg.seeds).items():
         print(f"[gchr] seed {seed}: final success {success:.3f}")

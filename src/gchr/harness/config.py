@@ -1,24 +1,28 @@
 """Experiment configuration: INI files with strict key checking.
 
-Four sections mirror the moving parts:
+One schema, derived from the dataclasses that own the knobs, so each knob
+is declared once, as a field:
 
-    [env]    name plus GoalEnvSpec overrides
-    [her]    relabeling strategy and ratio
-    [agent]  every learning-core knob, the hindsight goal count K included
-    [run]    seeds, schedule, evaluation and output settings
+    [env]    name plus the GoalEnvSpec fields other than the three dims
+    [her]    the HerConfig fields: relabeling strategy and ratio
+    [agent]  the GchrConfig fields: every learning-core knob
+    [run]    the remaining ExperimentConfig fields: seeds, schedule,
+             evaluation and output settings
 
-Unknown sections or keys are rejected (exit code 2 at the CLI). Values set
-on the command line with --set section.key=value go through the same typed
-parser.
+Each key is parsed by the parser of its field's annotation. A config
+travels as one {section: {key: value}} form: an INI file and --set
+section.key=value items are applied to it through the same typed parser,
+and write_config writes it back out. Unknown sections or keys are rejected
+(exit code 2 at the CLI).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from ..agent import GchrConfig
-from ..envs import make_env
+from ..envs import GoalEnvSpec, make_env
 from ..replay import HerConfig
 
 
@@ -28,11 +32,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    env_name: str = "point_reach"
-    horizon: int | None = None
-    success_tolerance: float | None = None
-    reward_convention: str | None = None
-    action_noise_std: float | None = None
+    # [env]: the environment name plus the GoalEnvSpec overrides that are set
+    env: dict = field(default_factory=lambda: {"name": "point_reach"})
     her: HerConfig = field(default_factory=HerConfig)
     agent: GchrConfig = field(default_factory=GchrConfig)
     seeds: tuple = (1, 2, 3, 4, 5)
@@ -60,20 +61,15 @@ class ExperimentConfig:
             raise ConfigError("exploration_noise must be >= 0")
         try:
             self.build_env()  # the name and spec checks training runs
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"[env] {exc}") from exc
 
-    def env_overrides(self):
-        """The [env] keys other than the name that are set, as make_env kwargs."""
-        values = {key: getattr(self, key) for key in _ENV_KEYS if key != "name"}
-        return {key: value for key, value in values.items() if value is not None}
-
     def build_env(self):
-        return make_env(self.env_name, **self.env_overrides())
+        return make_env(**self.env)
 
     def resolved_agent_config(self, env):
-        """Agent config with the env-coupled reward convention filled in."""
-        return replace(self.agent, reward_convention=env.spec.reward_convention)
+        """The agent config; the environment adds nothing to it."""
+        return self.agent
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -90,52 +86,27 @@ def _parse_int_list(text):
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
-def _parse_optional_int(text):
-    text = text.strip().lower()
-    return None if text in ("none", "") else int(text)
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "tuple": _parse_int_list}
 
 
-_ENV_KEYS = {
-    "name": str,
-    "horizon": int,
-    "success_tolerance": float,
-    "reward_convention": str,
-    "action_noise_std": float,
+def _keys(owner, skip=()):
+    """{field name: parser} for the fields of a dataclass, in field order."""
+    keys = {}
+    for f in fields(owner):
+        if f.name in skip:
+            continue
+        if f.type not in _PARSERS:
+            raise TypeError(f"{owner.__name__}.{f.name}: no INI parser for {f.type!r}")
+        keys[f.name] = _PARSERS[f.type]
+    return keys
+
+
+_SECTIONS = {
+    "env": {"name": str, **_keys(GoalEnvSpec, skip=("state_dim", "action_dim", "goal_dim"))},
+    "her": _keys(HerConfig),
+    "agent": _keys(GchrConfig),
+    "run": _keys(ExperimentConfig, skip=("env", "her", "agent")),
 }
-_HER_KEYS = {
-    "strategy": str,
-    "relabel_ratio": float,
-}
-_AGENT_KEYS = {
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "polyak": float,
-    "batch_size": int,
-    "updates_per_cycle": int,
-    "hindsight_goals": _parse_optional_int,
-    "hindsight_goal_fraction": float,
-    "prior_source": str,
-    "tau_delay": int,
-    "entropy_coeff": float,
-    "prior_mc_samples": int,
-    "learning_rate": float,
-    "hidden_sizes": _parse_int_list,
-    "activation": str,
-}
-_RUN_KEYS = {
-    "seeds": _parse_int_list,
-    "epochs": int,
-    "cycles_per_epoch": int,
-    "episodes_per_cycle": int,
-    "eval_rollouts": int,
-    "warmup_steps": int,
-    "random_action_prob": float,
-    "exploration_noise": float,
-    "output_dir": str,
-    "dump_trajectories": _parse_bool,
-}
-_SECTIONS = {"env": _ENV_KEYS, "her": _HER_KEYS, "agent": _AGENT_KEYS, "run": _RUN_KEYS}
 
 
 def _typed(section, key, raw):
@@ -153,49 +124,54 @@ def _typed(section, key, raw):
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
 
 
-def _assemble(values):
-    env = values.get("env", {})
-    her = values.get("her", {})
-    agent = values.get("agent", {})
-    run = values.get("run", {})
+def config_sections(cfg):
+    """The {section: {key: value}} form of a config, in schema order. [env]
+    holds the name and the overrides that are set; every other section
+    holds all of its keys."""
+    form = {"env": {key: cfg.env[key] for key in _SECTIONS["env"] if key in cfg.env}}
+    for section, owner in (("her", cfg.her), ("agent", cfg.agent), ("run", cfg)):
+        form[section] = {key: getattr(owner, key) for key in _SECTIONS[section]}
+    return form
+
+
+def _assemble(form):
     try:
-        her_cfg = HerConfig(**her)
-        agent_cfg = GchrConfig(**agent)
-        kwargs = dict(run)
-        if "name" in env:
-            kwargs["env_name"] = env.pop("name")
-        kwargs.update(env)
-        return ExperimentConfig(her=her_cfg, agent=agent_cfg, **kwargs)
+        return ExperimentConfig(env=form["env"], her=HerConfig(**form["her"]),
+                                agent=GchrConfig(**form["agent"]), **form["run"])
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
-def parse_overrides(overrides, values=None):
+def parse_overrides(overrides, form):
     """Apply --set style `section.key=value` items, each through the typed
-    parser, onto a {section: {key: value}} dict (a new one by default)."""
-    values = {} if values is None else values
+    parser, onto a {section: {key: value}} form; returns the form."""
     for item in overrides:
         target, eq, raw = item.partition("=")
         section, dot, key = target.partition(".")
         if not eq or not dot:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         section, key = section.strip(), key.strip()
-        values.setdefault(section, {})[key] = _typed(section, key, raw.strip())
-    return values
+        value = _typed(section, key, raw.strip())
+        form[section][key] = value
+    return form
+
+
+def apply_overrides(cfg, overrides):
+    """A new ExperimentConfig: cfg with --set style items applied."""
+    return _assemble(parse_overrides(overrides, config_sections(cfg)))
 
 
 def parse_env_overrides(overrides):
     """GoalEnvSpec overrides from `env.key=value` items, as `gchr eval` takes
     them; the environment name comes from --env, never from an override."""
-    values = parse_overrides(overrides)
-    if set(values) - {"env"}:
+    form = parse_overrides(overrides, {section: {} for section in _SECTIONS})
+    if any(values for section, values in form.items() if section != "env"):
         raise ConfigError("eval only accepts env.* overrides")
-    env = values.get("env", {})
-    if "name" in env:
+    if "name" in form["env"]:
         raise ConfigError("env.name cannot be overridden; --env names the environment")
-    return env
+    return form["env"]
 
 
 def load_config(path, overrides=()):
@@ -204,50 +180,30 @@ def load_config(path, overrides=()):
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    values = {}
+    form = config_sections(ExperimentConfig())
     for section in parser.sections():
         for key, raw in parser.items(section):
-            values.setdefault(section, {})[key] = _typed(section, key, raw)
-    return _assemble(parse_overrides(overrides, values))
+            value = _typed(section, key, raw)
+            form[section][key] = value
+    return _assemble(parse_overrides(overrides, form))
 
 
 def default_config(overrides=()):
-    return _assemble(parse_overrides(overrides))
+    return apply_overrides(ExperimentConfig(), overrides)
+
+
+def _format(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_config(cfg, path):
     """Write the fully-resolved configuration back out as INI."""
     parser = configparser.ConfigParser()
-    parser["env"] = {"name": cfg.env_name}
-    for key, value in cfg.env_overrides().items():
-        parser["env"][key] = str(value)
-    parser["her"] = {
-        "strategy": cfg.her.strategy,
-        "relabel_ratio": repr(cfg.her.relabel_ratio),
-    }
-    agent = {}
-    for f in fields(GchrConfig):
-        if f.name == "reward_convention":
-            continue  # derived from [env]
-        value = getattr(cfg.agent, f.name)
-        if f.name == "hidden_sizes":
-            agent[f.name] = " ".join(str(v) for v in value)
-        elif value is None:
-            agent[f.name] = "none"
-        else:
-            agent[f.name] = repr(value) if isinstance(value, float) else str(value)
-    parser["agent"] = agent
-    parser["run"] = {
-        "seeds": " ".join(str(s) for s in cfg.seeds),
-        "epochs": str(cfg.epochs),
-        "cycles_per_epoch": str(cfg.cycles_per_epoch),
-        "episodes_per_cycle": str(cfg.episodes_per_cycle),
-        "eval_rollouts": str(cfg.eval_rollouts),
-        "warmup_steps": str(cfg.warmup_steps),
-        "random_action_prob": repr(cfg.random_action_prob),
-        "exploration_noise": repr(cfg.exploration_noise),
-        "output_dir": cfg.output_dir,
-        "dump_trajectories": str(cfg.dump_trajectories).lower(),
-    }
+    for section, values in config_sections(cfg).items():
+        parser[section] = {key: _format(value) for key, value in values.items()}
     with open(path, "w") as fh:
         parser.write(fh)

@@ -165,8 +165,7 @@ def train_seed(cfg, seed, seed_dir):
     seed_dir.mkdir(parents=True, exist_ok=True)
     env = cfg.build_env()
     spec = env.spec
-    agent_cfg = cfg.resolved_agent_config(env)
-    agent = GchrAgent(spec.state_dim, spec.goal_dim, spec.action_dim, agent_cfg, seed=seed)
+    agent = GchrAgent(spec.state_dim, spec.goal_dim, spec.action_dim, cfg.agent, seed=seed)
     buffer = HerBuffer(
         spec.state_dim, spec.action_dim, spec.goal_dim, spec.success_tolerance,
         reward_convention=spec.reward_convention,
@@ -205,7 +204,7 @@ def train_seed(cfg, seed, seed_dir):
             for _ in range(cfg.cycles_per_epoch):
                 for traj in collect_episodes(env, cfg.episodes_per_cycle, explore, env_rng):
                     store(traj)
-                for _ in range(agent_cfg.updates_per_cycle):
+                for _ in range(cfg.agent.updates_per_cycle):
                     metrics = agent.update(buffer, cfg.her, update_rng)
                     if not all(np.isfinite(v) for v in metrics.values()):
                         raise FloatingPointError("non-finite loss")

@@ -3,30 +3,28 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, apply_overrides
 from .loop import RunFailure, final_success_per_seed, run_training
 
-SWEEP_AXES = ("beta", "alpha", "K_fraction", "relabel_ratio", "action_noise")
+# each axis sets one config key, through the same parser as --set
+SWEEP_AXES = {
+    "beta": "agent.beta",
+    "alpha": "agent.alpha",
+    "K_fraction": "agent.hindsight_goal_fraction",
+    "relabel_ratio": "her.relabel_ratio",
+    "action_noise": "env.action_noise_std",
+}
 
 
 def apply_axis(cfg, axis, value):
     """New ExperimentConfig with one sweep axis set."""
-    if axis == "beta":
-        return replace(cfg, agent=replace(cfg.agent, beta=float(value)))
-    if axis == "alpha":
-        return replace(cfg, agent=replace(cfg.agent, alpha=float(value)))
-    if axis == "K_fraction":
-        return replace(cfg, agent=replace(cfg.agent, hindsight_goal_fraction=float(value)))
-    if axis == "relabel_ratio":
-        return replace(cfg, her=replace(cfg.her, relabel_ratio=float(value)))
-    if axis == "action_noise":
-        return replace(cfg, action_noise_std=float(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}; known: {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; known: {tuple(SWEEP_AXES)}")
+    return apply_overrides(cfg, [f"{SWEEP_AXES[axis]}={float(value)!r}"])
 
 
 def _cell_name(axis, value):

@@ -56,6 +56,8 @@ def load_params(path):
     params = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
+        if any(not isinstance(dim, int) or dim < 0 for dim in shape):
+            raise ValueError(f"{path}: bad shape {list(shape)} for array {entry['name']!r}")
         count = math.prod(shape)
         if offset + count * 8 > len(data):
             raise ValueError(f"{path}: truncated checkpoint at array {entry['name']!r}")

@@ -75,11 +75,12 @@ class ReplayBatch:
 
     Hindsight goal sets travel as a padded (N, K_max, goal_dim) `goal_table`
     with per-element `goal_counts`; padding slots hold no member of the set
-    and are never read.
+    and are never read. `reward_convention` is the one the rewards were
+    computed under, so the critic clips its targets to that value range.
     """
 
     def __init__(self, states, actions, next_states, original_goals, goals, rewards,
-                 is_relabeled, t, relabel_t, goal_table, goal_counts):
+                 is_relabeled, t, relabel_t, goal_table, goal_counts, reward_convention):
         self.states = states
         self.actions = actions
         self.next_states = next_states
@@ -91,6 +92,7 @@ class ReplayBatch:
         self.relabel_t = relabel_t
         self.goal_table = goal_table
         self.goal_counts = goal_counts
+        self.reward_convention = reward_convention
 
     @property
     def goal_sets(self):
@@ -306,6 +308,7 @@ class HerBuffer:
             relabel_t=relabel_t,
             goal_table=goal_table,
             goal_counts=goal_counts,
+            reward_convention=self.reward_convention,
         )
 
 

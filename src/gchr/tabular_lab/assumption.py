@@ -74,7 +74,7 @@ def check_assumption_uniform_reachability(mdp, values, goal, delta):
                 continue  # g' unreachable from S_g under this policy
             spread = float(np.max(vals) - np.min(vals))
             max_spread = max(max_spread, spread)
-            if spread >= delta:
+            if not spread < delta:  # a NaN spread is a violation too
                 spread_violations.append(
                     (int(other), spread,
                      int(goal_states[np.argmax(vals)]), int(goal_states[np.argmin(vals)]))

@@ -32,6 +32,18 @@ from .via_goal import via_goal_factors, via_goal_slice
 REACHABILITY_DELTA = 1e-9  # tolerance on V(., g') spread over a goal set
 
 
+def fold_max(running, value):
+    """max(running, value), except that a NaN on either side is kept, so a
+    NaN margin fails its check instead of being dropped (Python's max keeps
+    `running` whenever `value` is NaN)."""
+    return value if value != value else max(running, value)
+
+
+def fold_min(running, value):
+    """min(running, value), keeping a NaN as fold_max does."""
+    return value if value != value else min(running, value)
+
+
 @dataclass
 class MonotonicityReport:
     n_iterations: int
@@ -76,7 +88,7 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, initial_policy=None):
             diffs = _sweep_margins(mdp, prev, current)
             per_sweep.append(diffs)
             for key, diff in diffs.items():
-                mins[key] = min(mins[key], diff)
+                mins[key] = fold_min(mins[key], diff)
         prev = current
         policy = improved
 
@@ -106,10 +118,10 @@ def _sweep_margins(mdp, prev, current):
     for sub in range(mdp.n_goals):
         prev_down, prev_via = via_goal_slice(mdp, prev_factors, prev_values, sub)
         down, via = via_goal_slice(mdp, factors, values, sub)
-        via_diff = min(via_diff, float(np.min(via - prev_via)))
+        via_diff = fold_min(via_diff, float(np.min(via - prev_via)))
         both_defined = prev_defined[:, sub] & defined[:, sub]
         if np.any(both_defined):
-            down_diff = min(down_diff, float(np.min((down - prev_down)[both_defined])))
+            down_diff = fold_min(down_diff, float(np.min((down - prev_down)[both_defined])))
         prev_weighted += prev_via * weight
         weighted += via * weight
     return {

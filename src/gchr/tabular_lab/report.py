@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotonic import REACHABILITY_DELTA, check_theorem2_monotonicity
+from .monotonic import REACHABILITY_DELTA, check_theorem2_monotonicity, fold_max
 from .occupancy import HIT_MASS_FLOOR, compute_occupancy, q_from_occupancy
 from .policy import TabularPolicy
 from .solve import EvaluationNotConverged, policy_evaluation_iterative
@@ -30,7 +30,8 @@ def verify_tabular(mdp, seed=0, pi_sweeps=4):
 
     Margins are worst-case absolute errors (or, for the monotonicity checks,
     the most negative per-sweep improvement, flipped in sign so that bigger
-    is worse); a check passes when its margin stays within tolerance.
+    is worse); a check passes when its margin stays within tolerance. A NaN
+    anywhere in a margin's fold makes that margin NaN, which fails.
     """
     rng = np.random.default_rng(seed)
     policies = [TabularPolicy.uniform(mdp.n_states, mdp.n_goals, mdp.n_actions)]
@@ -59,20 +60,21 @@ def verify_tabular(mdp, seed=0, pi_sweeps=4):
             stuck.append(f"policy {i} goals {exc.goals}")
         for goal in range(mdp.n_goals):
             table = compute_occupancy(mdp, policy, goal)
-            occ_margin = max(occ_margin, float(np.max(np.abs(table.d.sum(axis=2) - 1.0))))
-            occ_margin = max(occ_margin, float(np.max(np.abs(table.d_marginal.sum(axis=1) - 1.0))))
+            occ_margin = fold_max(occ_margin, float(np.max(np.abs(table.d.sum(axis=2) - 1.0))))
+            occ_margin = fold_max(
+                occ_margin, float(np.max(np.abs(table.d_marginal.sum(axis=1) - 1.0))))
             if q_iter is not None:
-                identity_margin = max(identity_margin, float(
+                identity_margin = fold_max(identity_margin, float(
                     np.max(np.abs(q_from_occupancy(table) - q_iter[:, :, goal]))))
             defined = table.hit_mass > HIT_MASS_FLOOR
             if np.any(defined):
                 sums = table.first_hit[defined].sum(axis=1)
-                first_hit_margin = max(first_hit_margin, float(np.max(np.abs(sums - 1.0))))
+                first_hit_margin = fold_max(first_hit_margin, float(np.max(np.abs(sums - 1.0))))
             outside = np.ones(mdp.n_states, dtype=bool)
             outside[mdp.goal_states(goal)] = False
-            support_leak = max(support_leak, float(np.max(np.abs(table.first_hit[:, outside]))
-                                                   if np.any(outside) else 0.0))
-            hit_mass_margin = max(
+            leak = float(np.max(np.abs(table.first_hit[:, outside]))) if np.any(outside) else 0.0
+            support_leak = fold_max(support_leak, leak)
+            hit_mass_margin = fold_max(
                 hit_mass_margin, float(np.max(np.abs(table.hit_mass - table.p_goal_marginal)))
             )
     del q_iter, table  # release the batched Q before the monotonicity sweeps
@@ -100,9 +102,9 @@ def verify_tabular(mdp, seed=0, pi_sweeps=4):
         f"{len(certs) - n_bad}/{len(certs)} goals certified (delta={REACHABILITY_DELTA:g})",
     ))
 
-    via_margin = max(0.0, -report.min_via_diff)
-    hit_margin = max(0.0, -report.min_hit_diff)
-    down_margin = max(0.0, -report.min_downstream_diff)
+    via_margin = fold_max(0.0, -report.min_via_diff)
+    hit_margin = fold_max(0.0, -report.min_hit_diff)
+    down_margin = fold_max(0.0, -report.min_downstream_diff)
     gated = "hypothesis certified" if report.assumption_holds else "hypothesis NOT certified"
     results.append(CheckResult("via_goal_value_monotone", via_margin <= 1e-9,
                                via_margin, 1e-9, gated))

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gchr.nn import Mlp, load_params, save_params
+from gchr.nn.checkpoint import MAGIC
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -47,6 +50,16 @@ def test_trailing_bytes_rejected(tmp_path):
     save_params(path, {"w": np.ones(10)})
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing"):
+        load_params(path)
+
+
+def test_negative_dimension_rejected(tmp_path):
+    # count -1 would read to the end of the file, and `b` would then start
+    # inside the header's bytes
+    header = {"arrays": [{"name": "a", "shape": [-1]}, {"name": "b", "shape": [3]}]}
+    path = tmp_path / "neg.ckpt"
+    path.write_bytes(MAGIC + json.dumps(header).encode("ascii") + b"\n" + bytes(16))
+    with pytest.raises(ValueError, match=r"bad shape \[-1\] for array 'a'"):
         load_params(path)
 
 

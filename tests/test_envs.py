@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,34 @@ def test_loader_rejects_missing_rows(tmp_path):
     path.write_text("n_states 2\nn_actions 1\ngamma 0.5\nphi 0 1\nP 0 0 0.5 0.5\n")
     with pytest.raises(ValueError, match="missing P row"):
         load_tabular_mdp(path)
+
+
+def test_nan_probability_rejected(tmp_path):
+    text = (ASSETS / "chain3.mdp").read_text().replace("P 0 0 0.0 1.0 0.0", "P 0 0 nan 1.0 0.0")
+    path = tmp_path / "nan.mdp"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="non-negative, not NaN"):
+        load_tabular_mdp(path)
+    transitions = chain3().transitions.copy()
+    transitions[1, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        TabularGCMDP(transitions, phi=np.arange(3), gamma=0.5)
+
+
+def test_loader_counts_rows_before_allocating_the_tensor(tmp_path):
+    # a header naming 1000 states and 2 actions, and no P row: the (S, A, S)
+    # tensor would take 16 MB
+    path = tmp_path / "no_rows.mdp"
+    path.write_text("n_states 1000\nn_actions 2\ngamma 0.5\nphi "
+                    + " ".join(str(s) for s in range(1000)) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="missing P row for state 0, action 0"):
+            load_tabular_mdp(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_tabular_rollout_follows_dynamics():

@@ -1,5 +1,8 @@
 import csv
 import functools
+import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from gchr.harness import (
 from gchr.harness.cli import main
 from gchr.harness.config import _SECTIONS as config_sections
 from gchr.harness.loop import exploration_actions
+from gchr.harness.sweep import SWEEP_AXES, apply_axis
 from gchr.nn.actor_critic import PolicyNet
 from gchr.replay import HerBuffer
 from gchr.tabular_lab import policy_evaluation_iterative
@@ -187,11 +191,11 @@ def test_cli_eval_run_failures_exit_1(tiny_checkpoint, tmp_path, capsys):
 
 def test_train_set_overrides_share_the_eval_parser(tmp_path):
     cfg = default_config(["env.name=l_maze", "env.horizon=7", "run.epochs=2"])
-    assert (cfg.env_name, cfg.horizon, cfg.epochs) == ("l_maze", 7, 2)
+    assert (cfg.env, cfg.epochs) == ({"name": "l_maze", "horizon": 7}, 2)
     path = tmp_path / "exp.ini"
     write_config(cfg, path)
     again = load_config(path, ["env.horizon=9", "agent.hidden_sizes=8 8"])
-    assert (again.env_name, again.horizon, again.agent.hidden_sizes) == ("l_maze", 9, (8, 8))
+    assert (again.env, again.agent.hidden_sizes) == ({"name": "l_maze", "horizon": 9}, (8, 8))
     for bad in (["env.horizon"], ["horizon=3"], ["env.bogus=1"], ["env.horizon=x"]):
         with pytest.raises(ConfigError):
             default_config(bad)
@@ -203,7 +207,7 @@ EVERY_KEY = {
             "reward_convention": "neg_one_zero", "action_noise_std": "0.05"},
     "her": {"strategy": "final", "relabel_ratio": "0.6"},
     "agent": {"alpha": "0.5", "beta": "0.3", "gamma": "0.95", "polyak": "0.9",
-              "batch_size": "64", "updates_per_cycle": "3", "hindsight_goals": "5",
+              "batch_size": "64", "updates_per_cycle": "3",
               "hindsight_goal_fraction": "0.5", "prior_source": "delayed_copy",
               "tau_delay": "7", "entropy_coeff": "0.01", "prior_mc_samples": "2",
               "learning_rate": "0.0005", "hidden_sizes": "8 8 8", "activation": "tanh"},
@@ -216,7 +220,7 @@ EVERY_KEY = {
 
 def config_value(cfg, section, key):
     if section == "env":
-        return cfg.env_name if key == "name" else getattr(cfg, key)
+        return cfg.env.get(key)
     if section in ("her", "agent"):
         return getattr(getattr(cfg, section), key)
     return getattr(cfg, key)
@@ -236,6 +240,71 @@ def test_every_config_key_survives_write_and_load(tmp_path):
     assert load_config(path) == cfg
     text = path.read_text()
     assert "hindsight_goal_fraction = 0.5" in text.split("[agent]")[1].split("[run]")[0]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("default_config.ini", []),
+    ("every_key_config.ini",
+     [f"{s}.{k}={v}" for s, keys in EVERY_KEY.items() for k, v in keys.items()]),
+])
+def test_write_config_text_is_the_golden_file(tmp_path, name, overrides):
+    path = tmp_path / "config.ini"
+    write_config(default_config(overrides), path)
+    assert path.read_text() == (GOLDEN / name).read_text()
+
+
+def test_env_keys_are_written_in_schema_order(tmp_path):
+    path = tmp_path / "config.ini"
+    write_config(default_config(["env.action_noise_std=0.1", "env.horizon=9"]), path)
+    env_section = path.read_text().split("[her]")[0]
+    assert env_section == "[env]\nname = point_reach\nhorizon = 9\naction_noise_std = 0.1\n\n"
+
+
+@pytest.mark.parametrize("axis", list(SWEEP_AXES))
+def test_sweep_axis_cell_config_is_the_set_item(axis):
+    base = default_config(TINY_REACH)
+    for value in (0.25, 0.5):
+        key = SWEEP_AXES[axis]
+        assert apply_axis(base, axis, value) == default_config(TINY_REACH + [f"{key}={value}"])
+
+
+def test_agent_hindsight_goals_is_an_unknown_key(tmp_path, capsys):
+    # a config.ini written before K had one knob holds `hindsight_goals = none`
+    path = tmp_path / "old.ini"
+    path.write_text("[agent]\nhindsight_goals = none\n")
+    assert main(["train", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+    assert "unknown key 'hindsight_goals' in section [agent]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_override_lists(monkeypatch):
+    """Every override list the benchmark and the output digests train with.
+    tools/output_digests.py pins the BLAS threads and extends sys.path on
+    import; monkeypatch restores both afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "tools" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return {**digests.TRAIN_OVERRIDES, **digests.CONFIGS}
+
+
+def test_benchmark_and_digest_configs_load_and_round_trip(tmp_path, monkeypatch):
+    lists = benchmark_override_lists(monkeypatch)
+    assert {"reach_hgr", "push_collect", "l_maze_tanh_delayed"} <= set(lists)
+    for name, overrides in lists.items():
+        cfg = default_config(overrides)
+        path = tmp_path / f"{name}.ini"
+        write_config(cfg, path)
+        assert load_config(path) == cfg, name
 
 
 def test_her_hindsight_goal_fraction_is_an_unknown_key(tmp_path, capsys):
@@ -329,7 +398,7 @@ def test_cli_dump_goals_writes_each_stored_episode_terminal_goal(tmp_path, monke
     items = ONE_CYCLE + ["run.seeds=1 2", "run.dump_trajectories=true"]
     assert main(train_argv(tmp_path / "run", items)) == 0
     cfg = default_config(items)
-    horizon = make_env(cfg.env_name).spec.horizon
+    horizon = cfg.build_env().spec.horizon
     per_seed = (-(-cfg.warmup_steps // horizon)
                 + cfg.epochs * cfg.cycles_per_epoch * cfg.episodes_per_cycle)
     assert len(stored) == 2 * per_seed  # the seeds train one after the other

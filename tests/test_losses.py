@@ -39,14 +39,15 @@ def make_nets(cfg, seed=0):
     return AgentNets.create(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=seed)
 
 
-def replay_batch(goal_sets, **arrays):
+def replay_batch(goal_sets, reward_convention="zero_one", **arrays):
     """A ReplayBatch with per-element goal sets packed into the padded goal
     table the buffer hands out."""
     counts = np.array([len(gs) for gs in goal_sets], dtype=np.int64)
     table = np.zeros((len(goal_sets), int(counts.max()), np.shape(goal_sets[0])[-1]))
     for row, goal_set in zip(table, goal_sets):
         row[: len(goal_set)] = goal_set
-    return ReplayBatch(goal_table=table, goal_counts=counts, **arrays)
+    return ReplayBatch(goal_table=table, goal_counts=counts,
+                       reward_convention=reward_convention, **arrays)
 
 
 def make_batch(rng, n=8, relabeled="mixed", goal_sets=None):
@@ -121,6 +122,33 @@ def test_critic_targets_clipped_to_value_range(rng):
     q = nets.critic.q(batch.states, batch.actions, batch.goals)
     target = np.clip(batch.rewards + 0.98 * raw_next, 0.0, 50.0)
     assert loss == pytest.approx(float(np.mean((q - target) ** 2)))
+
+
+def test_neg_one_zero_batch_clips_targets_to_its_value_range(rng):
+    # the buffer's convention reaches the critic through the batch: targets
+    # clip to [-1/(1-gamma), 0] = [-50, 0], not to zero_one's [0, 50]
+    cfg = small_cfg(gamma=0.98)
+    nets = make_nets(cfg)
+    inflated = {k: v * 400.0 for k, v in nets.target_critic.params().items()}
+    nets.target_critic.set_params(inflated)
+    states = np.cumsum(rng.normal(size=(7, STATE_DIM)), axis=0)
+    traj = Trajectory(states, rng.uniform(-1, 1, (6, ACTION_DIM)),
+                      states[:, :GOAL_DIM].copy(), rng.normal(size=GOAL_DIM))
+    buf = HerBuffer(STATE_DIM, ACTION_DIM, GOAL_DIM, success_tolerance=0.05,
+                    reward_convention="neg_one_zero")
+    buf.store_trajectory(traj)
+    batch = buf.sample_batch(64, HerConfig(), rng)
+    assert batch.reward_convention == "neg_one_zero"
+    raw = batch.rewards + 0.98 * nets.target_critic.q(
+        batch.next_states,
+        nets.target_actor.mean_action(batch.next_states, batch.goals),
+        batch.goals,
+    )
+    assert raw.min() < -50.0 and np.any((raw > 0.0) & (raw < 50.0))  # both bounds bind
+    loss, _ = critic_loss(batch, nets, cfg)
+    q = nets.critic.q(batch.states, batch.actions, batch.goals)
+    assert loss == pytest.approx(float(np.mean((q - np.clip(raw, -50.0, 0.0)) ** 2)))
+    assert loss != pytest.approx(float(np.mean((q - np.clip(raw, 0.0, 50.0)) ** 2)))
 
 
 def test_critic_loss_non_finite_target_names_sample(rng):
@@ -365,27 +393,30 @@ def test_batched_priors_match_per_element(rng):
 
 def test_prior_goals_at_k_equal_to_the_set_size_are_the_whole_set(rng):
     nets = make_nets(small_cfg())
-    sizes = (4, 2, 4, 7)
+    # fraction 0.75 gives K = ceil(0.75 |set|): 2, 3, 1 and 6
+    sizes = (2, 4, 1, 7)
     batch = make_batch(rng, n=4, goal_sets=[rng.normal(size=(k, GOAL_DIM)) for k in sizes])
-    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=4), rng)
-    np.testing.assert_array_equal(priors.counts, 4)
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.75), rng)
+    np.testing.assert_array_equal(priors.counts, [2, 3, 1, 6])
     members = [{tuple(g) for g in goal_set} for goal_set in batch.goal_sets]
-    drawn = [[tuple(g) for g in goals] for goals in priors.padded_goals]
+    drawn = [[tuple(g) for g in goals[:k]] for goals, k in zip(priors.padded_goals, priors.counts)]
     for i in (0, 2):  # K = |set|: the whole set, in first-visit order
-        np.testing.assert_array_equal(priors.padded_goals[i], batch.goal_sets[i])
-    assert set(drawn[1]) <= members[1]  # K > |set|: drawn with replacement
-    assert len(set(drawn[3])) == 4 and set(drawn[3]) <= members[3]  # K < |set|: distinct
+        np.testing.assert_array_equal(priors.padded_goals[i, : sizes[i]], batch.goal_sets[i])
+    for i in (1, 3):  # K < |set|: distinct members
+        assert len(set(drawn[i])) == priors.counts[i] and set(drawn[i]) <= members[i]
     # with every K equal to its set size the batch's own table is used
     whole = build_hgr_priors_batch(batch, nets, small_cfg(), rng)
     assert whole.padded_goals is batch.goal_table
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_prior_goals_from_a_singleton_set(rng, k):
+def test_prior_goals_from_a_singleton_set(rng):
     nets = make_nets(small_cfg())
     batch = make_batch(rng, n=1, goal_sets=[np.array([[0.25, -0.5]])])
-    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=k), rng)
-    np.testing.assert_array_equal(priors.padded_goals[0], np.tile([0.25, -0.5], (k, 1)))
+    for fraction in (0.1, 1.0):  # every fraction keeps the one goal
+        cfg = small_cfg(hindsight_goal_fraction=fraction)
+        priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+        np.testing.assert_array_equal(priors.counts, [1])
+        np.testing.assert_array_equal(priors.padded_goals[0], [[0.25, -0.5]])
 
 
 def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
@@ -393,7 +424,9 @@ def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
     goal_set = rng.normal(size=(10, GOAL_DIM))
     n = 10_000
     batch = make_batch(rng, n=n, goal_sets=[goal_set] * n)
-    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=1), rng)
+    # fraction 0.05 of 10 goals: K = 1
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.05), rng)
+    np.testing.assert_array_equal(priors.counts, 1)
     drawn = priors.padded_goals[:, 0]
     member = np.argmin(np.linalg.norm(drawn[:, None] - goal_set[None], axis=2), axis=1)
     np.testing.assert_array_equal(goal_set[member], drawn)
@@ -414,7 +447,8 @@ def test_prior_subsets_include_every_member_uniformly(rng):
     goal_set, wider = rng.normal(size=(10, GOAL_DIM)), rng.normal(size=(12, GOAL_DIM))
     n, k = 10_000, 3
     batch = make_batch(rng, n=n, goal_sets=[goal_set, wider] * (n // 2))
-    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goals=k), rng)
+    # fraction 0.25: K = ceil(2.5) = 3 of 10 goals and ceil(3.0) = 3 of 12
+    priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.25), rng)
     np.testing.assert_array_equal(priors.counts, k)
     drawn = priors.padded_goals[::2, :k]
     member = np.argmin(np.linalg.norm(drawn[:, :, None] - goal_set, axis=3), axis=2)
@@ -438,12 +472,16 @@ def test_batched_prior_sampling_shape_and_box(rng):
     assert np.all(np.abs(actions) < 1.0)
 
 
-def test_fixed_k_subsampling(rng):
-    cfg = small_cfg(hindsight_goals=2)
+def test_k_fraction_subsampling(rng):
+    cfg = small_cfg(hindsight_goal_fraction=0.5)
     nets = make_nets(cfg)
-    batch = make_batch(rng, n=4)
+    batch = make_batch(rng, n=16)
     priors = build_hgr_priors_batch(batch, nets, cfg, rng)
-    assert np.all(priors.counts == 2)
+    expected = np.maximum(1, np.ceil(0.5 * batch.goal_counts))
+    np.testing.assert_array_equal(priors.counts, expected)
+    assert np.all(priors.counts <= batch.goal_counts)
+    for goals, goal_set, k in zip(priors.padded_goals, batch.goal_sets, priors.counts):
+        assert {tuple(g) for g in goals[:k]} <= {tuple(g) for g in goal_set}
 
 
 # -- hgr ----------------------------------------------------------------------
