@@ -23,7 +23,12 @@ the pass: it gathers the self-imitation rows (the task rows of the
 relabeled samples, where g_eff is g_relabel) and the prior rows (one per
 element, its task row when g_eff equals g_orig and its extra row
 otherwise), adds each term's weighted head gradients into the shared rows,
-and runs the single backward on their sum.
+and runs the single backward on their sum. Those gradients live in one
+(rows, 2 * action_dim) buffer laid out like the actor's output, mean
+gradients then log-std ones, which the backward takes as it is. Each
+backward computes only what its caller uses: the critic pass of the task
+term asks for d(action) alone, the critic and actor updates for the
+parameter gradient alone.
 
 Every gradient is computed analytically through the fixed MLP/Gaussian
 graph in float64 and is checked against central finite differences by the
@@ -140,26 +145,40 @@ class BatchedHgrPriors:
     """Per-sample mixture priors packed for vectorized sampling.
 
     Element i's prior is the equal-weight mixture of pi(. | states[i], g)
-    over its component goals g, padded to the largest K in the batch;
-    `counts` records each element's true component count.
+    over its counts[i] component goals. Component c is member c of the
+    element's hindsight goal set, read through `goal_lookup`, or member
+    members[i, c] where a `members` table picks a subset.
     """
 
-    def __init__(self, states, padded_goals, counts, prior_net):
+    def __init__(self, states, goal_lookup, counts, prior_net, members=None):
         self.states = states
-        self.padded_goals = padded_goals
+        self.goal_lookup = goal_lookup
         self.counts = counts
         self.prior_net = prior_net
+        self.members = members
 
     def __len__(self):
         return len(self.states)
 
+    def component_goals(self, elements, comps):
+        """Goals (..., goal_dim) of components `comps` of `elements`
+        (broadcastable index arrays)."""
+        members = comps if self.members is None else self.members[elements, comps]
+        return self.goal_lookup.gather(elements, members)
+
     def sample_actions(self, m, rng):
-        """(N, m, action_dim) actions: components chosen uniformly per draw."""
-        n = len(self.states)
+        """(N, m, action_dim) actions: components chosen uniformly per draw.
+
+        Only the N*m drawn component goals are gathered; they and the states
+        are written into one (N*m, state+goal) input array for the prior.
+        """
+        n, state_dim = self.states.shape
         comp = np.floor(rng.random((n, m)) * self.counts[:, None]).astype(np.int64)
-        goals = self.padded_goals[np.arange(n)[:, None], comp]  # (N, m, goal_dim)
-        states = np.repeat(self.states, m, axis=0)
-        head = self.prior_net.head(states, goals.reshape(n * m, -1))
+        goals = self.component_goals(np.arange(n)[:, None], comp)
+        inputs = np.empty((n, m, state_dim + goals.shape[-1]))
+        inputs[:, :, :state_dim] = self.states[:, None]
+        inputs[:, :, state_dim:] = goals
+        head = self.prior_net.head_cached_on(inputs.reshape(n * m, -1))[0]
         noise = rng.standard_normal(head.mean.shape)
         return reparam_action(head, noise).reshape(n, m, -1)
 
@@ -168,27 +187,26 @@ def build_hgr_priors_batch(batch, nets, cfg, rng):
     """Priors for a whole minibatch; hgr_loss scores them on the original desired goals.
 
     When K equals the full goal-set size (the default fraction of 1), the
-    component set is the whole hindsight goal set: the batch's goal table
-    is used as it is. Otherwise each element's K goals are gathered from
-    its row of the table: the whole set in first-visit order where K equals
-    its size, and the first K of a uniform random order of the set where K
-    is smaller (one random((rows, table width)) call, argsorted with the
-    padding slots last), so a uniform K-subset without replacement. Slots
-    past an element's K are padding, never read.
+    component set is the whole hindsight goal set, in first-visit order.
+    Otherwise each element's K members are picked by index: the whole set
+    where K equals its size, and the first K of a uniform random order of
+    the set where K is smaller (one random((rows, largest set)) call,
+    argsorted with the slots past the set last), so a uniform K-subset
+    without replacement. Slots past an element's K are padding, never read.
     """
     counts = batch.goal_counts
     ks = resolve_k(cfg, counts)
+    prior_net = nets.prior_actor(cfg)
     if np.array_equal(ks, counts):
-        return BatchedHgrPriors(batch.states, batch.goal_table, counts, nets.prior_actor(cfg))
-    n, width = batch.goal_table.shape[:2]
+        return BatchedHgrPriors(batch.states, batch.goal_lookup, counts, prior_net)
+    width = int(counts.max())
     slot = np.arange(int(ks.max()))
-    idx = np.where(slot < counts[:, None], slot, 0)
+    members = np.where(slot < counts[:, None], slot, 0)
     under = ks < counts
     keys = rng.random((int(under.sum()), width))
     keys[np.arange(width) >= counts[under, None]] = np.inf
-    idx[under] = np.argsort(keys, axis=1)[:, : len(slot)]
-    padded = batch.goal_table[np.arange(n)[:, None], idx]
-    return BatchedHgrPriors(batch.states, padded, ks, nets.prior_actor(cfg))
+    members[under] = np.argsort(keys, axis=1)[:, : len(slot)]
+    return BatchedHgrPriors(batch.states, batch.goal_lookup, ks, prior_net, members)
 
 
 # -- losses -------------------------------------------------------------------
@@ -213,7 +231,7 @@ def critic_loss(batch, nets, cfg):
     q, cache = nets.critic.q_cached(batch.states, batch.actions, batch.goals)
     err = q - targets
     loss = float(np.mean(err * err))
-    grad, _ = nets.critic.backward(cache, 2.0 * err / len(err))
+    grad, _ = nets.critic.backward(cache, 2.0 * err / len(err), wrt="params")
     return loss, grad
 
 
@@ -244,11 +262,15 @@ def hgr_loss(batch, priors, head, cfg, rng, prior_actions=None):
     if prior_actions is None:
         prior_actions = priors.sample_actions(cfg.prior_mc_samples, rng)
     n, m, _ = prior_actions.shape
-    rows = DiagGaussianHead(head.mean[:, None], head.log_std[:, None], squash=head.squash)
-    logp, d_mean, d_log_std = gaussian_log_prob_grads(rows, prior_actions)
+    # scored draw-major, (m, N, action_dim): each head row broadcasts along
+    # the leading axis, so every pass runs over whole contiguous blocks. The
+    # sums over draws still add them in draw order, and the mean sums logp
+    # in its element-major (N, m) order, so every result keeps its rounding
+    draws = np.ascontiguousarray(prior_actions.transpose(1, 0, 2))
+    logp, d_mean, d_log_std = gaussian_log_prob_grads(head, draws)
     scale = -1.0 / (n * m)
-    return (-float(np.mean(logp)), (scale * d_mean).sum(axis=1),
-            (scale * d_log_std).sum(axis=1))
+    return (-float(np.mean(np.ascontiguousarray(logp.T))), (scale * d_mean).sum(axis=0),
+            (scale * d_log_std).sum(axis=0))
 
 
 def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
@@ -277,18 +299,21 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
     def rows(idx):
         return DiagGaussianHead(shared.mean[idx], shared.log_std[idx], squash=shared.squash)
 
-    shared_d_mean = np.zeros_like(shared.mean)
-    shared_d_log_std = np.zeros_like(shared.log_std)
+    # one head-gradient buffer, laid out like the trunk's output: the mean
+    # gradients, then the log-std ones; every term adds into its rows
+    a_dim = nets.actor.action_dim
+    d_head = np.zeros((len(shared.mean), 2 * a_dim))
+    shared_d_mean, shared_d_log_std = d_head[:, :a_dim], d_head[:, a_dim:]
     head = rows(slice(n))
     if noise is None:
         noise = rng.standard_normal(head.mean.shape)
     action = reparam_action(head, noise)
     q, q_cache = nets.critic.q_cached(batch.states, action, batch.goals)
     q_term = -float(np.mean(q))
-    _, d_action = nets.critic.backward(q_cache, np.full(n, -1.0 / n))
+    _, d_action = nets.critic.backward(q_cache, np.full(n, -1.0 / n), wrt="input")
     jac_mean, jac_log_std = reparam_grads(head, noise, action)
-    d_mean = d_action * jac_mean
-    d_log_std = d_action * jac_log_std
+    d_mean = np.multiply(d_action, jac_mean, out=shared_d_mean[:n])
+    d_log_std = np.multiply(d_action, jac_log_std, out=shared_d_log_std[:n])
 
     entropy_term = 0.0
     if cfg.entropy_coeff > 0.0:
@@ -298,13 +323,11 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
         entropy_term = float(np.mean(gaussian_log_prob(head, action)))
         c = cfg.entropy_coeff / n
         if head.squash:
-            d_mean = d_mean + c * 2.0 * action
-            d_log_std = d_log_std + c * (-1.0 + 2.0 * action * head.std * noise)
+            d_mean += c * 2.0 * action
+            d_log_std += c * (-1.0 + 2.0 * action * head.std * noise)
         else:
-            d_log_std = d_log_std - c
+            d_log_std -= c
 
-    shared_d_mean[:n] = d_mean
-    shared_d_log_std[:n] = d_log_std
     loss = q_term + cfg.entropy_coeff * entropy_term
     parts = {"q_term": q_term, "hsr": 0.0, "hgr": 0.0, "entropy": entropy_term}
 
@@ -326,7 +349,7 @@ def actor_loss(batch, priors, nets, cfg, rng, noise=None, prior_actions=None):
         shared_d_log_std[prior_rows] += cfg.beta * d_ls
         parts["hgr"] = value
         loss += cfg.beta * value
-    grad, _ = nets.actor.backward_from_head(cache, raw, shared_d_mean, shared_d_log_std)
+    grad = nets.actor.backward_from_head(cache, raw, d_head)
     return loss, grad, parts
 
 

@@ -94,7 +94,9 @@ def load_tabular_mdp(path):
                     phi = [int(v) for v in parts[1:]]
                 elif key == "P":
                     s, a = int(parts[1]), int(parts[2])
-                    rows[(s, a)] = [float(v) for v in parts[3:]]
+                    if (s, a) in rows:
+                        raise ValueError(f"repeats P row ({s}, {a}) of line {rows[s, a][0]}")
+                    rows[(s, a)] = (lineno, [float(v) for v in parts[3:]])
                 else:
                     raise ValueError(f"unknown directive {key!r}")
             except (IndexError, ValueError) as exc:
@@ -104,6 +106,10 @@ def load_tabular_mdp(path):
     if len(phi) != n_states:
         raise ValueError(f"{path}: phi lists {len(phi)} entries for {n_states} states")
     # every row is checked for before the (S, A, S) tensor is allocated
+    for (s, a), (lineno, _) in rows.items():
+        if not (0 <= s < n_states and 0 <= a < n_actions):
+            raise ValueError(f"{path}:{lineno}: P row ({s}, {a}) lies outside "
+                             f"{n_states} states and {n_actions} actions")
     for s in range(n_states):
         for a in range(n_actions):
             if (s, a) not in rows:
@@ -111,9 +117,9 @@ def load_tabular_mdp(path):
     transitions = np.zeros((n_states, n_actions, n_states))
     for s in range(n_states):
         for a in range(n_actions):
-            row = rows[(s, a)]
+            lineno, row = rows[(s, a)]
             if len(row) != n_states:
-                raise ValueError(f"{path}: P row ({s}, {a}) has {len(row)} entries")
+                raise ValueError(f"{path}:{lineno}: P row ({s}, {a}) has {len(row)} entries")
             transitions[s, a] = row
     return TabularGCMDP(transitions, np.array(phi), gamma)
 

@@ -62,7 +62,11 @@ class PolicyNet(_MlpNet):
 
     def head_cached(self, states, goals):
         """Returns (head, cache, raw_log_std); cache feeds backward_from_head."""
-        out, cache = self.mlp.forward_cached(_concat(states, goals))
+        return self.head_cached_on(_concat(states, goals))
+
+    def head_cached_on(self, inputs):
+        """head_cached on rows that already hold concat(state, goal)."""
+        out, cache = self.mlp.forward_cached(inputs)
         mean = out[..., : self.action_dim]
         raw_log_std = out[..., self.action_dim :]
         head = DiagGaussianHead(mean, raw_log_std, squash=self.squash)
@@ -82,18 +86,16 @@ class PolicyNet(_MlpNet):
         head = self.head(states, goals)
         return reparam_action(head, rng.standard_normal(head.mean.shape))
 
-    def backward_from_head(self, cache, raw_log_std, d_mean, d_log_std):
-        """Backpropagate gradients on (mean, log_std) to the trunk parameters.
+    def backward_from_head(self, cache, raw_log_std, d_head):
+        """Backpropagate a head gradient to the trunk parameters; returns dL/d(theta).
 
-        The log-std clamp passes gradient only strictly inside its bounds.
-        Returns (dL/d(theta), gradient w.r.t. the concatenated input).
+        `d_head` holds dL/d(mean) then dL/d(log_std) on each row, laid out
+        like the trunk's output. The log-std clamp passes gradient only
+        strictly inside its bounds: the log-std half is masked in place.
         """
         mask = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
-        d_out = np.concatenate(
-            [np.asarray(d_mean, dtype=np.float64), np.asarray(d_log_std, dtype=np.float64) * mask],
-            axis=-1,
-        )
-        return self.mlp.backward(cache, d_out)
+        d_head[..., self.action_dim :] *= mask
+        return self.mlp.backward(cache, d_head, "params")[0]
 
 
 class CriticNet(_MlpNet):
@@ -114,9 +116,11 @@ class CriticNet(_MlpNet):
     def q(self, states, actions, goals):
         return self.q_cached(states, actions, goals)[0]
 
-    def backward(self, cache, d_q):
-        """Backward from dL/dQ; returns (dL/d(theta), dL/d(action))."""
+    def backward(self, cache, d_q, wrt="both"):
+        """Backward from dL/dQ; returns (dL/d(theta), dL/d(action)). `wrt`
+        picks what to compute, as in Mlp.backward; the other one is None."""
         d_out = np.asarray(d_q, dtype=np.float64)[..., np.newaxis]
-        grad, d_input = self.mlp.backward(cache, d_out)
-        d_action = d_input[..., self.state_dim : self.state_dim + self.action_dim]
-        return grad, d_action
+        grad, d_input = self.mlp.backward(cache, d_out, wrt)
+        if d_input is None:
+            return grad, None
+        return grad, d_input[..., self.state_dim : self.state_dim + self.action_dim]

@@ -38,10 +38,19 @@ def adam_step(theta, grad, state, block_of=None):
         state.second_moment = np.zeros_like(theta)
     state.step_count += 1
     m, v = state.first_moment, state.second_moment
+    # each step below rounds as the plain expression would: (1 - beta2) * g * g
+    # left to right, and lr * m_hat before the divide
+    work = np.multiply(grad, 1.0 - BETA1)
     m *= BETA1
-    m += (1.0 - BETA1) * grad
+    m += work
+    np.multiply(grad, 1.0 - BETA2, out=work)
+    work *= grad
     v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1**state.step_count)
-    v_hat = v / (1.0 - BETA2**state.step_count)
-    theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    v += work
+    np.divide(v, 1.0 - BETA2**state.step_count, out=work)  # v_hat
+    np.sqrt(work, out=work)
+    work += EPSILON
+    step = np.divide(m, 1.0 - BETA1**state.step_count)  # m_hat
+    step *= state.learning_rate
+    step /= work
+    theta -= step

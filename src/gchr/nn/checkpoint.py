@@ -53,10 +53,15 @@ def load_params(path):
     if not offset:
         raise ValueError(f"{path}: truncated checkpoint header")
     header = json.loads(data[len(MAGIC) : offset].decode("ascii"))
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise ValueError(f'{path}: checkpoint header is not an object with an "arrays" list')
     params = {}
-    for entry in header["arrays"]:
+    for i, entry in enumerate(header["arrays"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise ValueError(f'{path}: header entry {i} needs a string "name" and a list "shape"')
         shape = tuple(entry["shape"])
-        if any(not isinstance(dim, int) or dim < 0 for dim in shape):
+        if any(type(dim) is not int or dim < 0 for dim in shape):
             raise ValueError(f"{path}: bad shape {list(shape)} for array {entry['name']!r}")
         count = math.prod(shape)
         if offset + count * 8 > len(data):

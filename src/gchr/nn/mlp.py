@@ -14,6 +14,13 @@ only their small outputs, instead of fresh hidden-width arrays that the
 allocator maps and returns to the system on every call. A forward_cached
 cache is therefore valid until the next forward pass of the same network;
 backward raises on a stale one.
+
+Backward computes only the gradients its caller asks for, in one loop over
+the layers. `wrt="params"` gives dL/d(theta) and skips the input gradient:
+no `delta @ w0.T` at layer 0. `wrt="input"` gives dL/d(input) and skips
+every parameter gradient: no `acts[k].T @ delta`, no bias sums and no
+gradient vector. `wrt="both"` gives both. Each output of a partial pass is
+bit-equal to the same output of the full one.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
+BACKWARD_WRT = ("both", "params", "input")
 
 
 class Mlp:
@@ -151,17 +159,21 @@ class Mlp:
         out = acts[-1][0] if single else acts[-1]
         return out, (acts, single, self._passes)
 
-    def backward(self, cache, grad_output):
+    def backward(self, cache, grad_output, wrt="both"):
         """Backpropagate an upstream gradient through the cached forward pass.
 
         Args:
             cache: second element returned by forward_cached.
             grad_output: dL/d(output), same shape as the forward output.
+            wrt: which gradients to compute: "params", "input" or "both".
 
         Returns:
             (grad, grad_input): grad is dL/d(theta), a fresh vector laid out
-            like theta; grad_input is dL/d(input).
+            like theta; grad_input is dL/d(input). The one `wrt` does not
+            ask for is None.
         """
+        if wrt not in BACKWARD_WRT:
+            raise ValueError(f"wrt must be one of {BACKWARD_WRT}, got {wrt!r}")
         acts, single, pass_number = cache
         if pass_number != self._passes:
             raise ValueError("stale cache: a later forward pass has reused its work arrays")
@@ -171,8 +183,10 @@ class Mlp:
                 f"upstream gradient has shape {np.shape(grad_output)}, "
                 f"expected {acts[-1][0].shape if single else acts[-1].shape}"
             )
-        grad = np.empty_like(self.theta)
-        grad_weights, grad_biases = self._split(grad)
+        grad = grad_input = None
+        if wrt != "input":
+            grad = np.empty_like(self.theta)
+            grad_weights, grad_biases = self._split(grad)
         n_layers = len(self.weights)
         for k in range(n_layers - 1, -1, -1):
             if k < n_layers - 1:
@@ -182,13 +196,15 @@ class Mlp:
                     np.multiply(delta, acts[k + 1] > 0.0, out=delta)
                 else:
                     np.multiply(delta, 1.0 - acts[k + 1] ** 2, out=delta)
-            np.matmul(acts[k].T, delta, out=grad_weights[k])
-            delta.sum(axis=0, out=grad_biases[k])
+            if grad is not None:
+                np.matmul(acts[k].T, delta, out=grad_weights[k])
+                delta.sum(axis=0, out=grad_biases[k])
             if k > 0:
                 delta = np.matmul(
                     delta, self.weights[k].T, out=self._work_rows("grad", k - 1, len(delta))
                 )
-            else:
-                delta = delta @ self.weights[k].T
-        grad_input = delta[0] if single else delta
+            elif wrt != "params":
+                grad_input = delta @ self.weights[k].T
+                if single:
+                    grad_input = grad_input[0]
         return grad, grad_input

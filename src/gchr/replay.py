@@ -11,8 +11,9 @@ vectorized; the arrays grow geometrically up to a cap of about 1.25x the
 transition capacity, and eviction is FIFO over whole trajectories once the
 transition capacity is exceeded. Each trajectory's deduplicated
 hindsight goal set is computed once, at store time, as first-visit row
-offsets into those arrays, so a sampled batch gathers its goal sets as one
-padded table.
+offsets into those arrays. A sampled batch copies no goal set: it carries a
+`GoalLookup` into the buffer's arrays, and the hindsight prior gathers only
+the goals it draws. No padded goal table is built per batch.
 """
 
 from __future__ import annotations
@@ -70,17 +71,40 @@ class HerConfig:
             raise ValueError("relabel_ratio must lie in [0, 1]")
 
 
+class GoalLookup:
+    """Where each element of a batch finds its hindsight goal set.
+
+    Member j of element i's set is row `bases[i] + offsets[slots[i], j]` of
+    `pool`, for j below the element's goal count; the offsets past a set's
+    size are padding that still points into the pool. A sampled batch's
+    lookup reads the buffer's own arrays, not a copy: it stays valid until
+    the buffer's next store_trajectory, which may compact the flat arrays
+    in place and so move the rows it points at.
+    """
+
+    def __init__(self, pool, offsets, slots, bases):
+        self.pool = pool
+        self.offsets = offsets
+        self.slots = slots
+        self.bases = bases
+
+    def gather(self, elements, members):
+        """Goals (..., goal_dim) for broadcastable index arrays of elements
+        and of members within each element's set."""
+        rows = self.bases[elements] + self.offsets[self.slots[elements], members]
+        return self.pool.take(rows, axis=0)
+
+
 class ReplayBatch:
     """A sampled minibatch as parallel arrays; `relabel_t` is -1 where unrelabeled.
 
-    Hindsight goal sets travel as a padded (N, K_max, goal_dim) `goal_table`
-    with per-element `goal_counts`; padding slots hold no member of the set
-    and are never read. `reward_convention` is the one the rewards were
+    Element i's hindsight goal set has `goal_counts[i]` members, read
+    through `goal_lookup`. `reward_convention` is the one the rewards were
     computed under, so the critic clips its targets to that value range.
     """
 
     def __init__(self, states, actions, next_states, original_goals, goals, rewards,
-                 is_relabeled, t, relabel_t, goal_table, goal_counts, reward_convention):
+                 is_relabeled, t, relabel_t, goal_counts, goal_lookup, reward_convention):
         self.states = states
         self.actions = actions
         self.next_states = next_states
@@ -90,14 +114,18 @@ class ReplayBatch:
         self.is_relabeled = is_relabeled
         self.t = t
         self.relabel_t = relabel_t
-        self.goal_table = goal_table
         self.goal_counts = goal_counts
+        self.goal_lookup = goal_lookup
         self.reward_convention = reward_convention
 
     @property
     def goal_sets(self):
-        """Each element's hindsight goal set, as views into the goal table."""
-        return [row[:k] for row, k in zip(self.goal_table, self.goal_counts)]
+        """Each element's hindsight goal set as a (K, goal_dim) array, built
+        on demand through the lookup (so valid as long as it is)."""
+        lookup = self.goal_lookup
+        rows = lookup.bases[:, None] + lookup.offsets[lookup.slots, : self.goal_counts.max()]
+        goals = lookup.pool.take(rows, axis=0)
+        return [row[:k] for row, k in zip(goals, self.goal_counts)]
 
     def __len__(self):
         return len(self.states)
@@ -279,23 +307,20 @@ class HerBuffer:
             relabel_t = lengths.copy()
         relabel_t = np.where(relabel, relabel_t, -1)
 
-        states = self._states[bases + t]
-        actions = self._actions[bases + t]
-        next_states = self._states[bases + t + 1]
-        achieved_next = self._achieved[bases + t + 1]
-        original_goals = self._desired[slots]
+        # ndarray.take copies whole rows, several times faster than the
+        # equivalent fancy index at these sizes
+        rows = bases + t
+        states = self._states.take(rows, axis=0)
+        actions = self._actions.take(rows, axis=0)
+        next_states = self._states.take(rows + 1, axis=0)
+        achieved_next = self._achieved.take(rows + 1, axis=0)
+        original_goals = self._desired.take(slots, axis=0)
         goals = original_goals.copy()
         if np.any(relabel):
             ridx = np.flatnonzero(relabel)
-            goals[ridx] = self._achieved[bases[ridx] + relabel_t[ridx]]
+            goals[ridx] = self._achieved.take(bases[ridx] + relabel_t[ridx], axis=0)
         rewards = sparse_reward(achieved_next, goals, self.success_tolerance,
                                 self.reward_convention)
-        goal_counts = self._goal_counts[slots]
-        goal_rows = bases[:, None] + self._goal_rows[slots, : goal_counts.max()]
-        # np.take along axis 0 copies whole rows; the equivalent fancy index
-        # is about 2.5x slower at batch 256 and 51 goals
-        goal_table = np.take(self._achieved, goal_rows.ravel(), axis=0).reshape(
-            *goal_rows.shape, self.goal_dim)
         return ReplayBatch(
             states=states,
             actions=actions,
@@ -306,8 +331,8 @@ class HerBuffer:
             is_relabeled=relabel,
             t=t,
             relabel_t=relabel_t,
-            goal_table=goal_table,
-            goal_counts=goal_counts,
+            goal_counts=self._goal_counts[slots],
+            goal_lookup=GoalLookup(self._achieved, self._goal_rows, slots, bases),
             reward_convention=self.reward_convention,
         )
 

@@ -73,6 +73,58 @@ def mixture_log_prob(prior_net, state, goals, action):
     return peak + math.log(sum(math.exp(lp - peak) for lp in logps)) - math.log(len(logps))
 
 
+def padded_table_priors(goal_sets, ks, rng):
+    """The hindsight priors' component goals by the padded-table route: the
+    goal sets zero-padded into one (N, largest set, goal_dim) table, and each
+    element's K components gathered from its row of the table (the whole row
+    where K equals the set's size, the first K of an argsort of one
+    random((rows, table width)) draw otherwise). Returns the (N, max K,
+    goal_dim) component table; slots past an element's K are padding. The
+    reference for the index-gathered components."""
+    counts = np.array([len(goal_set) for goal_set in goal_sets])
+    n, width = len(goal_sets), int(counts.max())
+    table = np.zeros((n, width, np.shape(goal_sets[0])[-1]))
+    for row, goal_set in zip(table, goal_sets):
+        row[: len(goal_set)] = goal_set
+    if np.array_equal(ks, counts):
+        return table
+    slot = np.arange(int(ks.max()))
+    idx = np.where(slot < counts[:, None], slot, 0)
+    under = ks < counts
+    keys = rng.random((int(under.sum()), width))
+    keys[np.arange(width) >= counts[under, None]] = np.inf
+    idx[under] = np.argsort(keys, axis=1)[:, : len(slot)]
+    return table[np.arange(n)[:, None], idx]
+
+
+def padded_table_prior_actions(states, components, ks, prior_net, m, rng):
+    """Prior actions drawn from a padded component table, with the states
+    repeated and joined to the drawn goals by concatenation: the reference
+    for BatchedHgrPriors.sample_actions."""
+    from gchr.nn import reparam_action
+
+    n = len(states)
+    comp = np.floor(rng.random((n, m)) * ks[:, None]).astype(np.int64)
+    goals = components[np.arange(n)[:, None], comp]
+    head = prior_net.head(np.repeat(states, m, axis=0), goals.reshape(n * m, -1))
+    noise = rng.standard_normal(head.mean.shape)
+    return reparam_action(head, noise).reshape(n, m, -1)
+
+
+def element_major_hgr_terms(head, prior_actions):
+    """hgr_loss's value and head gradients with the draws scored in their
+    (N, m, action_dim) layout, each head row broadcast over its m draws: the
+    reference for the draw-major scoring."""
+    from gchr.nn import DiagGaussianHead, gaussian_log_prob_grads
+
+    n, m, _ = prior_actions.shape
+    rows = DiagGaussianHead(head.mean[:, None], head.log_std[:, None], squash=head.squash)
+    logp, d_mean, d_log_std = gaussian_log_prob_grads(rows, prior_actions)
+    scale = -1.0 / (n * m)
+    return (-float(np.mean(logp)), (scale * d_mean).sum(axis=1),
+            (scale * d_log_std).sum(axis=1))
+
+
 def per_rollout_eval(actor, env, n, seed_or_rng):
     """Mean-action evaluation stepping each episode alone, one env.step per
     episode and timestep: the reference for the lockstep run_eval. Same
@@ -355,7 +407,7 @@ def actor_term(actor, states, goals, term):
     Returns (loss, dL/d(actor theta))."""
     head, cache, raw = actor.head_cached(states, goals)
     loss, d_mean, d_log_std = term(head)
-    grad, _ = actor.backward_from_head(cache, raw, d_mean, d_log_std)
+    grad = actor.backward_from_head(cache, raw, np.concatenate([d_mean, d_log_std], axis=-1))
     return loss, grad
 
 

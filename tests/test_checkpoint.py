@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gchr.harness.cli import main
 from gchr.nn import Mlp, load_params, save_params
 from gchr.nn.checkpoint import MAGIC
 
@@ -61,6 +62,23 @@ def test_negative_dimension_rejected(tmp_path):
     path.write_bytes(MAGIC + json.dumps(header).encode("ascii") + b"\n" + bytes(16))
     with pytest.raises(ValueError, match=r"bad shape \[-1\] for array 'a'"):
         load_params(path)
+
+
+@pytest.mark.parametrize("header", [
+    {"x": 1},
+    [],
+    {"arrays": [{"shape": [2]}]},
+    {"arrays": [{"name": "actor.w0", "shape": 2}]},
+])
+def test_eval_on_a_header_of_the_wrong_structure_exits_1(tmp_path, header, capsys):
+    path = tmp_path / "odd.ckpt"
+    path.write_bytes(MAGIC + json.dumps(header).encode("ascii") + b"\n" + bytes(16))
+    with pytest.raises(ValueError, match="header"):
+        load_params(path)
+    argv = ["eval", "--checkpoint", str(path), "--env", "point_reach", "--episodes", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "run failed" in err and "Traceback" not in err
 
 
 class _FailsMidWrite:

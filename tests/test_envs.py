@@ -490,6 +490,23 @@ def test_nan_probability_rejected(tmp_path):
         TabularGCMDP(transitions, phi=np.arange(3), gamma=0.5)
 
 
+ONE_STATE = "n_states 1\nn_actions 1\ngamma 0.5\nphi 0\nP 0 0 1.0\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("P 7 3 0.5 0.5", r":6: P row \(7, 3\) lies outside 1 states and 1 actions"),
+    ("P 0 -1 1.0", r":6: P row \(0, -1\) lies outside"),
+    ("P 0 0 1.0", r":6: repeats P row \(0, 0\) of line 5"),
+])
+def test_loader_rejects_out_of_range_and_repeated_rows(tmp_path, row, message):
+    path = tmp_path / "one_state.mdp"
+    path.write_text(ONE_STATE)
+    assert load_tabular_mdp(path).n_states == 1
+    path.write_text(ONE_STATE + row + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_tabular_mdp(path)
+
+
 def test_loader_counts_rows_before_allocating_the_tensor(tmp_path):
     # a header naming 1000 states and 2 actions, and no P row: the (S, A, S)
     # tensor would take 16 MB

@@ -13,17 +13,24 @@ from gchr.agent import (
     critic_loss,
     hgr_loss,
     hsr_loss,
+    resolve_k,
     update_targets,
 )
 from gchr.nn import Mlp, PolicyNet, gaussian_log_prob
-from gchr.replay import HerBuffer, HerConfig, ReplayBatch, Trajectory
+from gchr.replay import GoalLookup, HerBuffer, HerConfig, ReplayBatch, Trajectory
 
 from oracles import (
     actor_term,
+    element_major_hgr_terms,
     finite_difference_grads,
     max_relative_grad_error,
     mixture_log_prob,
+    n_trajectories,
+    padded_table_prior_actions,
+    padded_table_priors,
+    scalar_first_visit_rows,
     separate_pass_actor_loss,
+    source_trajectories,
 )
 
 STATE_DIM, GOAL_DIM, ACTION_DIM = 3, 2, 2
@@ -39,15 +46,34 @@ def make_nets(cfg, seed=0):
     return AgentNets.create(STATE_DIM, GOAL_DIM, ACTION_DIM, cfg, seed=seed)
 
 
+def goal_lookup(goal_sets):
+    """A GoalLookup over explicit per-element goal sets, packed end to end:
+    member j of element i sits j rows past the start of its set, and its
+    padding offsets are 0, as the buffer's are."""
+    counts = np.array([len(goal_set) for goal_set in goal_sets])
+    members = np.arange(counts.max())
+    offsets = np.where(members < counts[:, None], members, 0)
+    bases = np.cumsum(counts) - counts
+    return GoalLookup(np.concatenate(goal_sets, dtype=np.float64), offsets,
+                      np.arange(len(goal_sets)), bases)
+
+
 def replay_batch(goal_sets, reward_convention="zero_one", **arrays):
-    """A ReplayBatch with per-element goal sets packed into the padded goal
-    table the buffer hands out."""
+    """A ReplayBatch whose elements have the given hindsight goal sets."""
     counts = np.array([len(gs) for gs in goal_sets], dtype=np.int64)
-    table = np.zeros((len(goal_sets), int(counts.max()), np.shape(goal_sets[0])[-1]))
-    for row, goal_set in zip(table, goal_sets):
-        row[: len(goal_set)] = goal_set
-    return ReplayBatch(goal_table=table, goal_counts=counts,
+    return ReplayBatch(goal_counts=counts, goal_lookup=goal_lookup(goal_sets),
                        reward_convention=reward_convention, **arrays)
+
+
+def one_goal_priors(prior_net):
+    """Priors for one element at state 0 with the single component goal 0."""
+    return BatchedHgrPriors(np.zeros((1, 1)), goal_lookup([np.zeros((1, 1))]), np.array([1]),
+                            prior_net)
+
+
+def component_goal_sets(priors):
+    """Each element's K component goals, in component order."""
+    return [priors.component_goals(i, np.arange(k)) for i, k in enumerate(priors.counts)]
 
 
 def make_batch(rng, n=8, relabeled="mixed", goal_sets=None):
@@ -291,7 +317,8 @@ def test_hsr_gradients_match_finite_differences_squashed(rng):
 def element_log_prob(priors, i, action):
     """Exact mixture log-density of element i's prior, by the oracle."""
     k = int(priors.counts[i])
-    return mixture_log_prob(priors.prior_net, priors.states[i], priors.padded_goals[i, :k],
+    return mixture_log_prob(priors.prior_net, priors.states[i],
+                            priors.component_goals(i, np.arange(k)),
                             action)
 
 
@@ -345,7 +372,7 @@ def test_prior_samples_follow_the_exact_mixture_density():
     prior_net.set_params({"w0": np.array([[0.0, 0.0], [1.0, 0.0]]),
                           "b0": np.array([0.0, np.log(0.5)])})
     goals = np.array([[-2.0], [0.5], [3.0]])
-    priors = BatchedHgrPriors(np.zeros((1, 1)), goals[None], np.array([3]), prior_net)
+    priors = BatchedHgrPriors(np.zeros((1, 1)), goal_lookup([goals]), np.array([3]), prior_net)
     n = 20_000
     draws = priors.sample_actions(n, np.random.default_rng(3))[0, :, 0]
     edges = np.linspace(-4.0, 5.0, 19)
@@ -376,7 +403,7 @@ def test_batched_priors_use_the_trajectory_goal_set(rng):
     priors = build_hgr_priors_batch(batch, nets, cfg, rng)
     assert priors.prior_net is nets.target_actor
     np.testing.assert_array_equal(priors.counts, 7)  # fraction 1.0 keeps the full set
-    for goals in priors.padded_goals:
+    for goals in component_goal_sets(priors):
         np.testing.assert_array_equal(goals, traj.achieved_goals)
 
 
@@ -387,8 +414,8 @@ def test_batched_priors_match_per_element(rng):
     priors = build_hgr_priors_batch(batch, nets, cfg, rng)
     np.testing.assert_array_equal(priors.states, batch.states)
     np.testing.assert_array_equal(priors.counts, batch.goal_counts)
-    for i, goal_set in enumerate(batch.goal_sets):
-        np.testing.assert_array_equal(priors.padded_goals[i, : priors.counts[i]], goal_set)
+    for goals, goal_set in zip(component_goal_sets(priors), batch.goal_sets, strict=True):
+        np.testing.assert_array_equal(goals, goal_set)
 
 
 def test_prior_goals_at_k_equal_to_the_set_size_are_the_whole_set(rng):
@@ -399,14 +426,15 @@ def test_prior_goals_at_k_equal_to_the_set_size_are_the_whole_set(rng):
     priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.75), rng)
     np.testing.assert_array_equal(priors.counts, [2, 3, 1, 6])
     members = [{tuple(g) for g in goal_set} for goal_set in batch.goal_sets]
-    drawn = [[tuple(g) for g in goals[:k]] for goals, k in zip(priors.padded_goals, priors.counts)]
+    drawn = [[tuple(g) for g in goals] for goals in component_goal_sets(priors)]
     for i in (0, 2):  # K = |set|: the whole set, in first-visit order
-        np.testing.assert_array_equal(priors.padded_goals[i, : sizes[i]], batch.goal_sets[i])
+        np.testing.assert_array_equal(drawn[i], batch.goal_sets[i])
     for i in (1, 3):  # K < |set|: distinct members
         assert len(set(drawn[i])) == priors.counts[i] and set(drawn[i]) <= members[i]
-    # with every K equal to its set size the batch's own table is used
+    # with every K equal to its set size the components are the batch's own
+    # goal sets: no member table
     whole = build_hgr_priors_batch(batch, nets, small_cfg(), rng)
-    assert whole.padded_goals is batch.goal_table
+    assert whole.members is None and whole.goal_lookup is batch.goal_lookup
 
 
 def test_prior_goals_from_a_singleton_set(rng):
@@ -416,7 +444,7 @@ def test_prior_goals_from_a_singleton_set(rng):
         cfg = small_cfg(hindsight_goal_fraction=fraction)
         priors = build_hgr_priors_batch(batch, nets, cfg, rng)
         np.testing.assert_array_equal(priors.counts, [1])
-        np.testing.assert_array_equal(priors.padded_goals[0], [[0.25, -0.5]])
+        np.testing.assert_array_equal(component_goal_sets(priors)[0], [[0.25, -0.5]])
 
 
 def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
@@ -427,7 +455,7 @@ def test_prior_goals_are_drawn_uniformly_from_the_set(rng):
     # fraction 0.05 of 10 goals: K = 1
     priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.05), rng)
     np.testing.assert_array_equal(priors.counts, 1)
-    drawn = priors.padded_goals[:, 0]
+    drawn = priors.component_goals(np.arange(n), 0)
     member = np.argmin(np.linalg.norm(drawn[:, None] - goal_set[None], axis=2), axis=1)
     np.testing.assert_array_equal(goal_set[member], drawn)
     counts = np.bincount(member, minlength=len(goal_set))
@@ -450,7 +478,7 @@ def test_prior_subsets_include_every_member_uniformly(rng):
     # fraction 0.25: K = ceil(2.5) = 3 of 10 goals and ceil(3.0) = 3 of 12
     priors = build_hgr_priors_batch(batch, nets, small_cfg(hindsight_goal_fraction=0.25), rng)
     np.testing.assert_array_equal(priors.counts, k)
-    drawn = priors.padded_goals[::2, :k]
+    drawn = priors.component_goals(np.arange(0, n, 2)[:, None], np.arange(k))
     member = np.argmin(np.linalg.norm(drawn[:, :, None] - goal_set, axis=3), axis=2)
     np.testing.assert_array_equal(goal_set[member], drawn)
     assert all(len(set(row)) == k for row in member)  # without replacement
@@ -480,8 +508,93 @@ def test_k_fraction_subsampling(rng):
     expected = np.maximum(1, np.ceil(0.5 * batch.goal_counts))
     np.testing.assert_array_equal(priors.counts, expected)
     assert np.all(priors.counts <= batch.goal_counts)
-    for goals, goal_set, k in zip(priors.padded_goals, batch.goal_sets, priors.counts):
-        assert {tuple(g) for g in goals[:k]} <= {tuple(g) for g in goal_set}
+    for goals, goal_set in zip(component_goal_sets(priors), batch.goal_sets, strict=True):
+        assert {tuple(g) for g in goals} <= {tuple(g) for g in goal_set}
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2])
+def test_index_gathered_prior_goals_equal_the_padded_table_route(fraction, monkeypatch):
+    # a small buffer that evicts and compacts, with goal sets from one goal
+    # to the whole trajectory; the reference goal sets come from the stored
+    # trajectories, not from the buffer
+    compactions = []
+    compact = HerBuffer._compact
+    monkeypatch.setattr(HerBuffer, "_compact",
+                        lambda self: compactions.append(1) or compact(self))
+    rng = np.random.default_rng(8)
+    cfg = small_cfg(hindsight_goal_fraction=fraction, prior_mc_samples=3)
+    nets = make_nets(cfg)
+    buf = HerBuffer(STATE_DIM, ACTION_DIM, GOAL_DIM, success_tolerance=0.5, capacity=60)
+    stored, subsets = [], 0
+    for i in range(160):
+        horizon = int(rng.integers(3, 16))
+        walk = [0.0, 0.01, 0.05, 1.0][i % 4]
+        states = np.cumsum(rng.normal(scale=walk, size=(horizon + 1, STATE_DIM)), axis=0)
+        stored.append(Trajectory(states, rng.uniform(-1, 1, (horizon, ACTION_DIM)),
+                                 states[:, :GOAL_DIM].copy(), rng.uniform(-1, 1, GOAL_DIM)))
+        buf.store_trajectory(stored[-1])
+        if i % 20 != 19:
+            continue
+        batch = buf.sample_batch(64, HerConfig(), rng)
+        live = stored[-n_trajectories(buf):]
+        goal_sets = [live[k].achieved_goals[scalar_first_visit_rows(live[k].achieved_goals,
+                                                                     buf.goal_dedup_tol)]
+                     for k in source_trajectories(live, batch)]
+        ks = resolve_k(cfg, batch.goal_counts)
+        subsets += int(np.sum(ks < batch.goal_counts))
+        priors = build_hgr_priors_batch(batch, nets, cfg, np.random.default_rng(i))
+        reference = padded_table_priors(goal_sets, ks, np.random.default_rng(i))
+        np.testing.assert_array_equal(priors.counts, ks)
+        for got, want, k in zip(component_goal_sets(priors), reference, ks, strict=True):
+            assert got.tobytes() == want[:k].tobytes()
+        actions = priors.sample_actions(3, np.random.default_rng(i))
+        expected = padded_table_prior_actions(batch.states, reference, ks, priors.prior_net, 3,
+                                              np.random.default_rng(i))
+        assert actions.tobytes() == expected.tobytes()
+    assert compactions and buf.n_transitions <= 60
+    assert (subsets > 0) == (fraction < 1.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (64, 4), (7, 16)])
+def test_draw_major_hgr_terms_equal_the_element_major_route(rng, n, m):
+    cfg = small_cfg(prior_mc_samples=m)
+    nets = make_nets(cfg)
+    batch = make_batch(rng, n=n)
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    head = nets.actor.head(batch.states, batch.original_goals)
+    actions = priors.sample_actions(m, rng)
+    got = hgr_loss(batch, priors, head, cfg, rng, prior_actions=actions)
+    want = element_major_hgr_terms(head, actions)
+    assert got[0] == want[0]
+    for got_grad, want_grad in zip(got[1:], want[1:]):
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def test_actor_loss_critic_pass_computes_no_parameter_gradient(rng, monkeypatch):
+    cfg = small_cfg()
+    nets = make_nets(cfg)
+    batch = make_batch(rng)
+    priors = build_hgr_priors_batch(batch, nets, cfg, rng)
+    passes, splits = [], []
+    backward, split = Mlp.backward, Mlp._split
+
+    def spy_backward(self, cache, grad_output, wrt="both"):
+        before = len(splits)
+        result = backward(self, cache, grad_output, wrt)
+        # _split lays out a parameter gradient; nothing else calls it in a pass
+        passes.append((self, result, len(splits) - before))
+        return result
+
+    monkeypatch.setattr(Mlp, "backward", spy_backward)
+    monkeypatch.setattr(Mlp, "_split", lambda self, flat: splits.append(1) or split(self, flat))
+    actor_loss(batch, priors, nets, cfg, rng)
+    critic_loss(batch, nets, cfg)
+    (critic_pass, actor_pass, critic_update) = passes
+    assert critic_pass[0] is nets.critic.mlp
+    assert critic_pass[1][0] is None and critic_pass[1][1] is not None and critic_pass[2] == 0
+    for net, (grad, grad_input), n_splits in (actor_pass, critic_update):
+        assert grad is not None and grad_input is None and n_splits == 1
+    assert actor_pass[0] is nets.actor.mlp and critic_update[0] is nets.critic.mlp
 
 
 # -- hgr ----------------------------------------------------------------------
@@ -509,7 +622,7 @@ def _self_case_gradient_norm(m, seed):
     actor = unit_gaussian_actor(0.3, squash=False)
     prior_net = actor.copy()
     batch = one_element_batch(np.zeros((1, 1)))
-    priors = BatchedHgrPriors(batch.states, np.zeros((1, 1, 1)), np.array([1]), prior_net)
+    priors = one_goal_priors(prior_net)
     rng = np.random.default_rng(seed)
     actions = priors.sample_actions(m, rng)
     value, grad = hgr_on(actor, batch, priors, cfg, rng, prior_actions=actions)
@@ -538,9 +651,9 @@ def test_hgr_self_case_matches_entropy_and_small_gradient():
 def test_hgr_mismatched_prior_costs_more_than_matched(rng):
     cfg = GchrConfig(hidden_sizes=(), prior_mc_samples=512)
     actor = unit_gaussian_actor(0.0, squash=False)
-    near = BatchedHgrPriors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.array([1]), actor.copy())
+    near = one_goal_priors(actor.copy())
     far_net = unit_gaussian_actor(6.0, squash=False)
-    far = BatchedHgrPriors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.array([1]), far_net)
+    far = one_goal_priors(far_net)
     batch = one_element_batch(np.zeros((1, 1)))
     near_loss, _ = hgr_on(actor, batch, near, cfg, np.random.default_rng(0))
     far_loss, _ = hgr_on(actor, batch, far, cfg, np.random.default_rng(0))
@@ -555,7 +668,7 @@ def test_hgr_recovers_closed_form_gaussian_kl():
         cfg = GchrConfig(hidden_sizes=(), prior_mc_samples=m)
         actor = unit_gaussian_actor(0.0, squash=False)
         prior_net = unit_gaussian_actor(gap, squash=False)
-        priors = BatchedHgrPriors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.array([1]), prior_net)
+        priors = one_goal_priors(prior_net)
         batch = one_element_batch(np.zeros((1, 1)))
         rng = np.random.default_rng(int(gap * 10) + 7)
         actions = priors.sample_actions(m, rng)
@@ -591,7 +704,7 @@ def test_hgr_gradient_unbiased_for_forward_kl(rng):
     actor = PolicyNet(1, 1, 1, hidden_sizes=(), squash=False, rng=3)
     prior_net = unit_gaussian_actor(0.7, squash=False)
     batch = one_element_batch(np.zeros((1, 1)))
-    priors = BatchedHgrPriors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.array([1]), prior_net)
+    priors = one_goal_priors(prior_net)
 
     # quadrature of -E_{a ~ p}[grad log pi(a)] over a wide grid
     grid = np.linspace(-12, 12, 4801)
@@ -603,7 +716,8 @@ def test_hgr_gradient_unbiased_for_forward_kl(rng):
 
     _, d_mean, d_log_std = gaussian_log_prob_grads(head, grid[:, None])
     scale = -(p_density * weights)[:, None]
-    true_grad, _ = actor.backward_from_head(cache, raw, scale * d_mean, scale * d_log_std)
+    true_grad = actor.backward_from_head(cache, raw, np.concatenate(
+        [scale * d_mean, scale * d_log_std], axis=-1))
     true_grads = actor.params(true_grad)
 
     runs = 200

@@ -202,3 +202,35 @@ def test_backward_returns_a_fresh_gradient_each_pass():
     np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, net.theta)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_each_backward_mode_equals_that_output_of_the_full_backward(activation, batched):
+    net = Mlp.initialize([5, 16, 12, 3], activation=activation, rng=6)
+    rng = np.random.default_rng(7)
+    shape = (9,) if batched else ()
+    x, direction = rng.normal(size=(*shape, 5)), rng.normal(size=(*shape, 3))
+    full_grad, full_in = net.backward(net.forward_cached(x)[1], direction)
+    grad, grad_in = net.backward(net.forward_cached(x)[1], direction, wrt="params")
+    assert grad_in is None
+    assert np.array_equal(grad.view(np.int64), full_grad.view(np.int64))
+    grad, grad_in = net.backward(net.forward_cached(x)[1], direction, wrt="input")
+    assert grad is None
+    assert grad_in.shape == x.shape
+    assert np.array_equal(grad_in.view(np.int64), full_in.view(np.int64))
+
+
+@pytest.mark.parametrize("wrt", ["both", "params", "input"])
+def test_every_backward_mode_rejects_a_stale_cache(wrt):
+    net = Mlp.initialize([3, 8, 2], rng=0)
+    _, stale = net.forward_cached(np.ones((4, 3)))
+    net.forward(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="stale cache"):
+        net.backward(stale, np.ones((4, 2)), wrt=wrt)
+
+
+def test_backward_rejects_an_unknown_mode():
+    net = Mlp.initialize([3, 2], rng=0)
+    with pytest.raises(ValueError, match="wrt must be one of"):
+        net.backward(net.forward_cached(np.ones(3))[1], np.ones(2), wrt="weights")

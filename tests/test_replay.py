@@ -252,7 +252,7 @@ def test_first_visit_rows_zero_tolerance_keeps_first_of_exact_repeats(seed):
     np.testing.assert_array_equal(rows, np.sort(first))
 
 
-def test_goal_table_survives_eviction_and_compaction(rng, monkeypatch):
+def test_goal_sets_survive_eviction_and_compaction(rng, monkeypatch):
     compactions = []
     compact = HerBuffer._compact
     monkeypatch.setattr(HerBuffer, "_compact",

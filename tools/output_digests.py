@@ -20,6 +20,14 @@ columns, and both parts of the reachability certificate run.
 
 A change that must keep training output and lab reports byte-identical
 prints the same lines before and after.
+
+    python3 tools/output_digests.py --check tools/output_digests.txt
+
+compares the printed lines with a recorded file (lines starting with "#"
+are comments), prints each line that differs and exits 1 on a difference.
+The digests depend on the numpy and BLAS build, so the recorded file names
+the build that produced it, and a check on another build may differ
+without any change to the program.
 """
 
 import os
@@ -28,9 +36,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from itertools import zip_longest  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -82,20 +92,41 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main():
+def digest_lines():
+    """Train and verify every config and MDP; yields one line per digest."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in CONFIGS.items():
             run_dir = Path(tmp) / name
             train_seed(default_config(overrides), SEED, run_dir)
-            print(name, sha256(run_dir / "metrics.csv"), sha256(run_dir / "checkpoint.ckpt"),
-                  flush=True)
+            yield f"{name} {sha256(run_dir / 'metrics.csv')} {sha256(run_dir / 'checkpoint.ckpt')}"
         for name, (build, seeds) in LAB_MDPS.items():
             mdp = build()
             for seed in seeds:
                 report = Path(tmp) / f"{name}_{seed}.csv"
                 write_report_csv(verify_tabular(mdp, seed=seed), report)
-                print(name, f"seed={seed}", sha256(report), flush=True)
-    return 0
+                yield f"{name} seed={seed} {sha256(report)}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="sha256 of training outputs and lab reports")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with recorded lines; exit 1 on a difference")
+    args = parser.parse_args(argv)
+    lines = []
+    for line in digest_lines():
+        print(line, flush=True)
+        lines.append(line)
+    if args.check is None:
+        return 0
+    recorded = [line for line in Path(args.check).read_text().splitlines()
+                if line.strip() and not line.startswith("#")]
+    differ = [(want, got) for want, got in zip_longest(recorded, lines, fillvalue="(none)")
+              if want != got]
+    for want, got in differ:
+        print(f"differs: recorded {want}\n         printed  {got}")
+    print(f"{len(differ)} lines differ from {args.check}" if differ
+          else f"all {len(lines)} lines match {args.check}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
