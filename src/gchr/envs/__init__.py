@@ -8,7 +8,7 @@ from .base import (
 )
 from .block_push import BlockPush2D
 from .l_maze import LMaze2D
-from .point_reach import PointReach2D, scripted_reach_action
+from .point_reach import PointReach2D
 from .tabular import TabularGCMDP, load_tabular_mdp, save_tabular_mdp, tabular_rollout
 
 ENV_REGISTRY = {
@@ -37,7 +37,6 @@ __all__ = [
     "BlockPush2D",
     "LMaze2D",
     "PointReach2D",
-    "scripted_reach_action",
     "TabularGCMDP",
     "load_tabular_mdp",
     "save_tabular_mdp",

@@ -38,9 +38,3 @@ class PointReach2D(GoalEnv):
         vel = clamp(vel + action * DT, -VELOCITY_CLIP, VELOCITY_CLIP)
         return np.concatenate([pos + vel * DT, vel], axis=-1)
 
-
-def scripted_reach_action(state, goal, kp=6.0, kd=3.5):
-    """Proportional-derivative controller toward the goal, for one state or
-    a stack; the eval oracle."""
-    pos, vel = np.asarray(state)[..., :2], np.asarray(state)[..., 2:]
-    return np.clip(kp * (np.asarray(goal) - pos) - kd * vel, -1.0, 1.0)

@@ -1,4 +1,4 @@
-"""Fixture builders: gridworlds, random MDPs and trajectory logs."""
+"""Fixture builders: gridworlds and trajectory logs."""
 
 from __future__ import annotations
 
@@ -46,17 +46,6 @@ def grid_cells(width, height, walls=()):
     """Free-cell list in the same order make_gridworld indexes states."""
     walls = set(walls)
     return [(x, y) for y in range(height) for x in range(width) if (x, y) not in walls]
-
-
-def random_mdp(rng, n_states, n_actions, n_goals, gamma):
-    """Dense random MDP; every goal id owns at least one state."""
-    transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    phi = np.concatenate([
-        np.arange(n_goals),
-        rng.integers(0, n_goals, size=n_states - n_goals),
-    ])
-    rng.shuffle(phi)
-    return TabularGCMDP(transitions, phi, gamma)
 
 
 def random_walk_log(mdp, n_episodes, horizon, rng):

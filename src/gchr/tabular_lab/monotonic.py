@@ -7,14 +7,16 @@ sweep the checker recomputes every via-goal value and both of its factors
 records the worst per-sweep change. The pointwise claim is verified
 directly; the uniform-goal-weighted average is reported alongside.
 
-The theorem's hypothesis, uniform reachability, is certified for every goal
-under the initial policy from the first sweep's values, so each sweep solves
-one linear system per (policy, goal) and nothing else: n_iterations * G
-direct solves per check.
+Each sweep solves one taboo first-hit system per (policy, goal) and nothing
+else: its values, its greedy improvement and both via-goal factors come from
+that solve (see solve.policy_iteration_step and via_goal). The theorem's
+hypothesis, uniform reachability, is certified for every goal under the
+initial policy from the first sweep's values, so a check makes exactly
+n_iterations * G solves.
 
-Memory is O(S*G + S^2), not O(S*G^2): each sweep keeps only its
-`via_goal_factors` and its (S, G) values, and the margins walk the subgoals
-one (S, G) slice of each sweep at a time. The goal sets are disjoint, so one
+Memory is O(S*G + S^2), not O(S*G^2): each sweep keeps only its (S, G)
+values and its (S, S) first-hit array, and the margins walk the subgoals one
+(S, G) slice of each sweep at a time. The goal sets are disjoint, so one
 (S, S) array holds every subgoal's first-hit distribution (see via_goal).
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 from .assumption import check_assumption_uniform_reachability
 from .policy import TabularPolicy
 from .solve import policy_iteration_step
-from .via_goal import via_goal_factors, via_goal_slice
+from .via_goal import via_goal_slice
 
 REACHABILITY_DELTA = 1e-9  # tolerance on V(., g') spread over a goal set
 
@@ -68,29 +70,24 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, initial_policy=None):
     """
     n_goals = mdp.n_goals
     policy = initial_policy or TabularPolicy.uniform(mdp.n_states, n_goals, mdp.n_actions)
-    # one exact solve per goal serves the improvement, the via values and,
-    # on the first sweep, the certificates
-    improved, values = policy_iteration_step(mdp, policy)
+    # one first-hit solve per goal serves the improvement, the via values
+    # and, on the first sweep, the certificates
+    sweep = policy_iteration_step(mdp, policy)
     certificates = [
-        check_assumption_uniform_reachability(mdp, values, g, REACHABILITY_DELTA)
+        check_assumption_uniform_reachability(mdp, sweep.values, g, REACHABILITY_DELTA)
         for g in range(n_goals)
     ]
     assumption_holds = all(c.holds for c in certificates)
 
     mins = {"via": np.inf, "hit": np.inf, "down": np.inf, "weighted": np.inf}
     per_sweep = []
-    prev = None
-    for sweep in range(max(1, n_iterations)):
-        if sweep:
-            improved, values = policy_iteration_step(mdp, policy)
-        current = (via_goal_factors(mdp, policy, values), values)
-        if prev is not None:
-            diffs = _sweep_margins(mdp, prev, current)
-            per_sweep.append(diffs)
-            for key, diff in diffs.items():
-                mins[key] = fold_min(mins[key], diff)
-        prev = current
-        policy = improved
+    for _ in range(1, n_iterations):
+        prev = sweep
+        sweep = policy_iteration_step(mdp, prev.improved)
+        diffs = _sweep_margins(mdp, prev, sweep)
+        per_sweep.append(diffs)
+        for key, diff in diffs.items():
+            mins[key] = fold_min(mins[key], diff)
 
     if not per_sweep:  # single evaluation: trivially monotone
         mins = {k: 0.0 for k in mins}
@@ -106,27 +103,26 @@ def check_theorem2_monotonicity(mdp, n_iterations=5, initial_policy=None):
     )
 
 
-def _sweep_margins(mdp, prev, current):
-    """The four worst changes from one sweep's (factors, values) to the next,
-    one subgoal slice of each at a time."""
-    (prev_factors, prev_values), (factors, values) = prev, current
+def _sweep_margins(mdp, prev, sweep):
+    """The four worst changes from one sweep to the next, one subgoal slice
+    of each at a time."""
     weight = 1.0 / mdp.n_goals
-    prev_defined, defined = prev_factors[1], factors[1]
     via_diff = down_diff = np.inf
-    prev_weighted = np.zeros_like(values)
-    weighted = np.zeros_like(values)
+    prev_weighted = np.zeros_like(sweep.values)
+    weighted = np.zeros_like(sweep.values)
     for sub in range(mdp.n_goals):
-        prev_down, prev_via = via_goal_slice(mdp, prev_factors, prev_values, sub)
-        down, via = via_goal_slice(mdp, factors, values, sub)
+        prev_down, prev_via = via_goal_slice(mdp, prev, sub)
+        down, via = via_goal_slice(mdp, sweep, sub)
         via_diff = fold_min(via_diff, float(np.min(via - prev_via)))
-        both_defined = prev_defined[:, sub] & defined[:, sub]
+        both_defined = prev.defined[:, sub] & sweep.defined[:, sub]
         if np.any(both_defined):
             down_diff = fold_min(down_diff, float(np.min((down - prev_down)[both_defined])))
         prev_weighted += prev_via * weight
         weighted += via * weight
+    one_minus_gamma = 1.0 - mdp.gamma  # hitting probability = (1 - gamma) V
     return {
         "via": via_diff,
-        "hit": float(np.min(factors[0] - prev_factors[0])),
+        "hit": float(np.min(one_minus_gamma * sweep.values - one_minus_gamma * prev.values)),
         "down": 0.0 if down_diff == np.inf else down_diff,
         "weighted": float(np.min(weighted - prev_weighted)),
     }

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotonic import REACHABILITY_DELTA, check_theorem2_monotonicity, fold_max
-from .occupancy import HIT_MASS_FLOOR, compute_occupancy, q_from_occupancy
+from .occupancy import compute_occupancy, q_from_occupancy
 from .policy import TabularPolicy
-from .solve import EvaluationNotConverged, policy_evaluation_iterative
+from .solve import HIT_MASS_FLOOR, EvaluationNotConverged, policy_evaluation_iterative
 
 
 @dataclass
@@ -60,9 +60,9 @@ def verify_tabular(mdp, seed=0, pi_sweeps=4):
             stuck.append(f"policy {i} goals {exc.goals}")
         for goal in range(mdp.n_goals):
             table = compute_occupancy(mdp, policy, goal)
-            occ_margin = fold_max(occ_margin, float(np.max(np.abs(table.d.sum(axis=2) - 1.0))))
+            occ_margin = fold_max(occ_margin, float(np.max(np.abs(table.d_row_sums - 1.0))))
             occ_margin = fold_max(
-                occ_margin, float(np.max(np.abs(table.d_marginal.sum(axis=1) - 1.0))))
+                occ_margin, float(np.max(np.abs(table.d_marginal_row_sums - 1.0))))
             if q_iter is not None:
                 identity_margin = fold_max(identity_margin, float(
                     np.max(np.abs(q_from_occupancy(table) - q_iter[:, :, goal]))))

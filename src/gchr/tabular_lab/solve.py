@@ -6,10 +6,16 @@ goal is worth exactly 1/(1-gamma). The goal-absorbing rows are written over
 the raw dynamics by the goal set's state indices; no (S, A, S) copy with the
 override applied is made.
 
-Direct evaluation solves the Bellman linear system by dense elimination, one
-goal at a time. The iterative variant is the independent cross-check route:
-it repeats Bellman backups for every goal of the policy at once and retires
-each goal when its own update falls to tol. Its Q is stored goal-major and
+Policy iteration evaluates each goal by the taboo first-hit solve on the
+states outside its goal set: goals absorb, so the discounted first-passage
+mass is (1 - gamma) V, and the same solve gives the first-hit distribution
+the via-goal values need. Greedy improvement breaks ties, within a tolerance
+scaled by the Q bound 1/(1-gamma), toward the lowest action id, so rounding
+cannot flip it.
+
+Iterative evaluation is the independent cross-check route: it repeats
+Bellman backups for every goal of the policy at once and retires each goal
+when its own update falls to tol. Its Q is stored goal-major and
 action-major, (G, A, S), so each sweep is one (G, S) @ (S, A*S) product on
 the raw transitions, every goal's A*S block is contiguous for the update
 norm, and V is the sum of A contiguous (G, S) planes. V is summed action by
@@ -21,8 +27,14 @@ goal-major (G, S, A) layout's `(pi * q).sum(axis=2)` for A <= 7.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from .policy import TabularPolicy
+
+HIT_MASS_FLOOR = 1e-12  # first-passage mass below which no first-hit distribution exists
+TIE_TOL = 1e-12  # greedy tie tolerance, relative to the Q bound 1 / (1 - gamma)
 
 
 def reward_vector(mdp, goal):
@@ -42,17 +54,28 @@ def policy_transition_matrix(mdp, policy, goal):
     return p_pi
 
 
-def policy_evaluation_direct(mdp, policy, goal):
-    """Exact (Q, V) for one goal via a dense linear solve."""
-    r = reward_vector(mdp, goal)
-    p_pi = policy_transition_matrix(mdp, policy, goal)
-    n = mdp.n_states
-    v = np.linalg.solve(np.eye(n) - mdp.gamma * p_pi, r)
-    next_v = np.einsum("sax,x->sa", mdp.transitions, v)
-    states = mdp.goal_states(goal)
-    next_v[states] = v[states, None]  # goal states self-loop
-    q = r[:, None] + mdp.gamma * next_v
-    return q, v
+def first_hit_columns(p_pi, goal_states, gamma):
+    """(columns (S, |S_g|), hit_mass (S,)) toward `goal_states` under the
+    goal-absorbing P_pi: column j is the normalized first-hit probability at
+    goal_states[j], and every other column of the first-hit distribution is
+    zero. One taboo solve on the states outside the goal set, with one
+    right-hand side per goal state. hit_mass is the discounted first-passage
+    mass before normalization, kept where it is below HIT_MASS_FLOOR too."""
+    n = p_pi.shape[0]
+    in_goal = np.zeros(n, dtype=bool)
+    in_goal[goal_states] = True
+    outside = np.flatnonzero(~in_goal)
+    columns = np.zeros((n, len(goal_states)))
+    columns[goal_states, np.arange(len(goal_states))] = 1.0  # first arrival at time 0
+    if outside.size:
+        a = np.eye(outside.size) - gamma * p_pi[np.ix_(outside, outside)]
+        b = gamma * p_pi[np.ix_(outside, goal_states)]
+        columns[outside] = np.linalg.solve(a, b)
+    hit_mass = columns.sum(axis=1)
+    reachable = hit_mass > HIT_MASS_FLOOR
+    columns[reachable] /= hit_mass[reachable, None]
+    columns[~reachable] = 0.0
+    return columns, hit_mass
 
 
 class EvaluationNotConverged(RuntimeError):
@@ -76,7 +99,7 @@ def sweep_cap(gamma, tol):
 def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=None):
     """Fixed-point iteration of the Bellman expectation backup on Q, all goals at once.
 
-    Independent of the direct solve. Returns q (S, A, G) and v (S, G). Each
+    Independent of the linear solves. Returns q (S, A, G) and v (S, G). Each
     goal iterates until its own sup-norm update falls to tol (final error is
     at most tol * gamma / (1 - gamma)), so it runs the sweeps it would run
     alone; goals still moving after max_iters (by default sweep_cap(gamma,
@@ -133,27 +156,64 @@ def _action_sum(pi, q, work):
     return v
 
 
-def greedy_policy_slice(q):
-    """One-hot greedy (S, A) slice; ties break toward the lowest action id."""
+def greedy_policy_slice(q, gamma):
+    """One-hot greedy (S, A) slice: the lowest action whose Q lies within
+    tau = TIE_TOL / (1 - gamma) of its row's maximum.
+
+    Q is at most 1 / (1 - gamma), so tau is TIE_TOL relative to the largest
+    value any Q can take (thousands of ulps of it at every gamma): two routes
+    to the same Q that round a tie a few ulps apart pick the same action. A
+    tau-greedy improvement loses at most tau / (1 - gamma) =
+    TIE_TOL / (1 - gamma)^2 per sweep against the exact greedy one (1e-10
+    at gamma = 0.9, 1e-8 at gamma = 0.99).
+    """
     n_states, n_actions = q.shape
+    near_max = q >= q.max(axis=1, keepdims=True) - TIE_TOL / (1.0 - gamma)
     out = np.zeros((n_states, n_actions))
-    out[np.arange(n_states), np.argmax(q, axis=1)] = 1.0
+    out[np.arange(n_states), np.argmax(near_max, axis=1)] = 1.0
     return out
 
 
+class Sweep(NamedTuple):
+    """One policy-iteration sweep; every array describes the *input* policy."""
+
+    improved: TabularPolicy  # greedy in the input's Q, every goal
+    values: np.ndarray  # (S, G) exact V per goal
+    hits: np.ndarray  # (S, S) column s' is first_hit(s' | ., phi(s'))
+    defined: np.ndarray  # (S, G) True where the first-hit distribution toward g exists
+
+
 def policy_iteration_step(mdp, policy):
-    """One exact policy-improvement sweep across every goal slice.
+    """One exact policy-improvement sweep across every goal slice, with one
+    taboo first-hit solve per goal and nothing else solved.
 
-    Returns (improved TabularPolicy, per-goal V of the *input* policy).
-    By the policy improvement theorem the returned policy's value dominates
-    the input's pointwise, for every goal.
+    Goals absorb and pay 1 per step, so V = hit_mass / (1 - gamma), with
+    hit_mass the discounted first-passage mass into S_g (exactly 1 on S_g
+    itself). Q follows by one backup and the improved slice is greedy in it.
+    The same solve's first-hit columns are the via-goal values' other factor
+    (see via_goal); phi maps every state to one goal, so the goal sets
+    partition the states and every goal's columns fit in one (S, S) array.
+
+    By the policy improvement theorem the improved policy's value dominates
+    the input's pointwise, for every goal, less at most greedy_policy_slice's
+    per-sweep loss tau / (1 - gamma).
     """
-    from .policy import TabularPolicy
-
+    gamma, n_states, n_goals = mdp.gamma, mdp.n_states, policy.n_goals
+    next_state = mdp.transitions.reshape(-1, n_states)  # (S*A, S)
     probs = np.empty_like(policy.probs)
-    values = np.empty((mdp.n_states, policy.n_goals))
-    for g in range(policy.n_goals):
-        q, v = policy_evaluation_direct(mdp, policy, g)
-        probs[:, g, :] = greedy_policy_slice(q)
+    values = np.empty((n_states, n_goals))
+    hits = np.zeros((n_states, n_states))
+    defined = np.empty((n_states, n_goals), dtype=bool)
+    for g in range(n_goals):
+        states = mdp.goal_states(g)
+        p_pi = policy_transition_matrix(mdp, policy, g)
+        hits[:, states], hit_mass = first_hit_columns(p_pi, states, gamma)
+        defined[:, g] = hit_mass > HIT_MASS_FLOOR
+        v = hit_mass / (1.0 - gamma)
         values[:, g] = v
-    return TabularPolicy(probs), values
+        q = (next_state @ v).reshape(n_states, -1)
+        q[states] = v[states, None]  # goal states self-loop
+        q *= gamma
+        q[states] += 1.0  # and collect the reward
+        probs[:, g, :] = greedy_policy_slice(q, gamma)
+    return Sweep(TabularPolicy(probs), values, hits, defined)

@@ -7,7 +7,7 @@ second route rather than against itself.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -449,29 +449,126 @@ def absorbing_transitions(mdp, goal):
     return p
 
 
-def absorbing_tensor_occupancy_d(mdp, policy, goal):
-    """The (S, A, S) future-state occupancy d = (1 - gamma) (I + gamma P_eff R)
-    as one matmul on the copied goal-absorbing tensor P_eff, with R the
-    policy's resolvent: the reference for compute_occupancy, which runs the
-    product on the raw rows and writes the goal rows by index."""
+def absorbing_tensor_contractions(mdp, policy, goal):
+    """(d_row_sums, p_goal), both (S, A), from the same two-column solve as
+    the library's compute_occupancy but one matmul on the copied
+    goal-absorbing tensor: the reference for its goal rows written by index,
+    which must match it bit for bit."""
+    from gchr.tabular_lab import policy_transition_matrix, reward_vector
+
+    gamma, n = mdp.gamma, mdp.n_states
+    p_pi = policy_transition_matrix(mdp, policy, goal)
+    r_sums = np.linalg.solve(np.eye(n) - gamma * p_pi,
+                             np.stack([np.ones(n), reward_vector(mdp, goal)], axis=1))
+    p_eff = absorbing_transitions(mdp, goal)
+    sums = (p_eff.reshape(-1, n) @ r_sums).reshape(n, mdp.n_actions, 2)
+    sums *= gamma
+    sums[:, :, 0] += 1.0
+    sums[mdp.goal_states(goal), :, 1] += 1.0
+    sums *= 1.0 - gamma
+    return sums[:, :, 0], sums[:, :, 1]
+
+
+@dataclass
+class OccupancyTables:
+    """Every occupancy table of one (policy, goal) pair, materialised."""
+
+    goal: int
+    gamma: float
+    d: np.ndarray  # (S, A, S) future-state occupancy
+    d_marginal: np.ndarray  # (S, S), action marginalized under the policy
+    p_goal: np.ndarray  # (S, A) future-goal density
+    p_goal_marginal: np.ndarray  # (S,)
+    first_hit: np.ndarray  # (S, S) normalized first-hit distribution over S_g
+    hit_mass: np.ndarray  # (S,) unnormalized discounted first-passage mass
+
+
+def compute_occupancy(mdp, policy, goal):
+    """The full (S, S) resolvent and (S, A, S) occupancy of one goal, solved
+    with S right-hand sides: the reference for the library's
+    compute_occupancy, which keeps only their row and goal-set sums."""
     from gchr.tabular_lab import policy_transition_matrix
+    from gchr.tabular_lab.solve import first_hit_columns
 
     gamma, n = mdp.gamma, mdp.n_states
     p_pi = policy_transition_matrix(mdp, policy, goal)
     resolvent = np.linalg.solve(np.eye(n) - gamma * p_pi, np.eye(n))
+    # d = (1 - gamma) (I + gamma P_eff R) on the copied goal-absorbing tensor
     p_eff = absorbing_transitions(mdp, goal)
     d = (p_eff.reshape(-1, n) @ resolvent).reshape(p_eff.shape)
     d *= gamma
     d[np.arange(n), :, np.arange(n)] += 1.0
     d *= 1.0 - gamma
-    return d
+    d_marginal = (1.0 - gamma) * resolvent
+    goal_states = mdp.goal_states(goal)
+    first_hit = np.zeros((n, n))
+    first_hit[:, goal_states], hit_mass = first_hit_columns(p_pi, goal_states, gamma)
+    return OccupancyTables(
+        goal=goal, gamma=gamma, d=d, d_marginal=d_marginal,
+        p_goal=d[:, :, goal_states].sum(axis=2),
+        p_goal_marginal=d_marginal[:, goal_states].sum(axis=1),
+        first_hit=first_hit, hit_mass=hit_mass,
+    )
+
+
+def random_mdp(rng, n_states, n_actions, n_goals, gamma):
+    """Dense random MDP; every goal id owns at least one state."""
+    from gchr.envs import TabularGCMDP
+
+    transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    phi = np.concatenate([
+        np.arange(n_goals),
+        rng.integers(0, n_goals, size=n_states - n_goals),
+    ])
+    rng.shuffle(phi)
+    return TabularGCMDP(transitions, phi, gamma)
+
+
+def paired_goal_grid():
+    """4x3 slippery grid behind a wall column; consecutive cells share a goal id."""
+    from gchr.tabular_lab import grid_cells, make_gridworld
+
+    walls = [(1, 0), (1, 1), (1, 2)]
+    n_states = len(grid_cells(4, 3, walls))
+    return make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
+
+
+def policy_evaluation_direct(mdp, policy, goal):
+    """Exact (Q, V) for one goal via a dense solve of the Bellman system:
+    the reference for the values policy_iteration_step takes from the
+    first-hit solve."""
+    from gchr.tabular_lab import policy_transition_matrix, reward_vector
+
+    r = reward_vector(mdp, goal)
+    p_pi = policy_transition_matrix(mdp, policy, goal)
+    n = mdp.n_states
+    v = np.linalg.solve(np.eye(n) - mdp.gamma * p_pi, r)
+    next_v = np.einsum("sax,x->sa", mdp.transitions, v)
+    states = mdp.goal_states(goal)
+    next_v[states] = v[states, None]  # goal states self-loop
+    q = r[:, None] + mdp.gamma * next_v
+    return q, v
+
+
+def direct_policy_iteration_step(mdp, policy):
+    """One policy-improvement sweep on direct solves: every goal's Q and V
+    from policy_evaluation_direct, then the library's greedy slice. The
+    reference for policy_iteration_step. Returns (improved, values (S, G))."""
+    from gchr.tabular_lab import TabularPolicy, greedy_policy_slice
+
+    probs = np.empty_like(policy.probs)
+    values = np.empty((mdp.n_states, policy.n_goals))
+    for g in range(policy.n_goals):
+        q, values[:, g] = policy_evaluation_direct(mdp, policy, g)
+        probs[:, g, :] = greedy_policy_slice(q, mdp.gamma)
+    return TabularPolicy(probs), values
 
 
 def per_goal_solve_certificate(mdp, policy, goal, delta):
     """The uniform-reachability certificate with part 2 read from one direct
     solve per other goal of the policy: the reference for the library's
     certificate, which reads the same values from a policy-iteration sweep."""
-    from gchr.tabular_lab import ReachabilityCertificate, policy_evaluation_direct
+    from gchr.tabular_lab import ReachabilityCertificate
 
     goal_states = mdp.goal_states(goal)
     unreachable = []
@@ -603,10 +700,10 @@ def goal_major_iterative_evaluation(mdp, policy, tol=1e-12, max_iters=None):
 
 def occupancy_via_goal_tensor(mdp, policy):
     """Via-goal tensor assembled from one full compute_occupancy table per
-    subgoal: the reference for via_goal_factors and via_goal_slice, which
-    skip the (S, A, S) occupancy. Returns (v_via, p_hit, downstream, defined)."""
-    from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
-    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
+    subgoal and direct-solve values: the reference for via_goal_slice on a
+    policy_iteration_step sweep, which reads both factors from first-hit
+    solves. Returns (v_via, p_hit, downstream, defined)."""
+    from gchr.tabular_lab.solve import HIT_MASS_FLOOR
 
     n_goals = policy.n_goals
     values = np.stack(
@@ -628,11 +725,10 @@ def via_goal_tensor(mdp, policy, values):
     """All via-goal values at once as dense (S, G, G') tensors, one dense
     first_hit @ values product per subgoal, first_hit from a full
     compute_occupancy table: the reference for the streamed
-    via_goal_factors / via_goal_slice pair. `values` (S, G) are the policy's
+    via_goal_slice. `values` (S, G) are the policy's
     exact per-goal values, and p_hit = (1 - gamma) * values as in the
     streamed route. Returns (v_via, p_hit, downstream, defined)."""
-    from gchr.tabular_lab import compute_occupancy
-    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
+    from gchr.tabular_lab.solve import HIT_MASS_FLOOR
 
     n_goals = policy.n_goals
     n_states = mdp.n_states
@@ -648,20 +744,25 @@ def via_goal_tensor(mdp, policy, values):
     return v_via, p_hit, downstream, defined
 
 
-def tensor_theorem2_margins(mdp, n_iterations, initial_policy=None):
+def tensor_theorem2_margins(mdp, n_iterations, initial_policy=None,
+                            step=direct_policy_iteration_step):
     """The Theorem 2 margins from whole (S, G, G') tensors of consecutive
-    policy-iteration sweeps: the reference for the streamed
-    check_theorem2_monotonicity. Returns one {"via", "hit", "down",
-    "weighted"} dict of worst changes per sweep pair."""
-    from gchr.tabular_lab import TabularPolicy, policy_iteration_step
+    policy-iteration sweeps on direct solves: the reference for the streamed
+    check_theorem2_monotonicity. `step(mdp, policy)` returns (improved,
+    values). Returns (per_sweep, policies): one {"via", "hit", "down",
+    "weighted"} dict of worst changes per sweep pair, and the policy each
+    sweep evaluated."""
+    from gchr.tabular_lab import TabularPolicy
 
     n_goals = mdp.n_goals
     goal_weights = np.full(n_goals, 1.0 / n_goals)
     policy = initial_policy or TabularPolicy.uniform(mdp.n_states, n_goals, mdp.n_actions)
     per_sweep = []
+    policies = []
     prev = None
     for _ in range(max(1, n_iterations)):
-        improved, values = policy_iteration_step(mdp, policy)
+        policies.append(policy)
+        improved, values = step(mdp, policy)
         v_via, p_hit, downstream, defined = via_goal_tensor(mdp, policy, values)
         weighted = v_via @ goal_weights
         if prev is not None:
@@ -680,15 +781,14 @@ def tensor_theorem2_margins(mdp, n_iterations, initial_policy=None):
         prev = {"v_via": v_via, "p_hit": p_hit, "downstream": downstream,
                 "defined": defined, "weighted": weighted}
         policy = improved
-    return per_sweep
+    return per_sweep, policies
 
 
 def via_goal_components(mdp, policy, s, goal, subgoal):
     """(hit probability, downstream value, defined flag) for one (s, g, g'),
     from one full compute_occupancy table and one direct solve: the scalar
     route to one via-goal value and its factors."""
-    from gchr.tabular_lab import compute_occupancy, policy_evaluation_direct
-    from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
+    from gchr.tabular_lab.solve import HIT_MASS_FLOOR
 
     table = compute_occupancy(mdp, policy, subgoal)
     if table.hit_mass[s] <= HIT_MASS_FLOOR:

@@ -12,7 +12,7 @@ import gchr.harness.sweep as sweep
 import gchr.tabular_lab.report as tabular_report
 
 from gchr.agent import GchrAgent, GchrConfig, load_actor_from_checkpoint
-from gchr.envs import make_env, scripted_reach_action
+from gchr.envs import make_env
 from gchr.harness import (
     ConfigError,
     collect_episode,
@@ -130,6 +130,13 @@ def test_single_episode_collection_matches_lockstep_collection_of_one(name, nois
     assert_same_trajectories([stacked], [traj])
     assert explore_a.random() == explore_b.random()
     assert env_a.random() == env_b.random()
+
+
+def scripted_reach_action(state, goal, kp=6.0, kd=3.5):
+    """Proportional-derivative controller toward the goal, for one state or
+    a stack: a callable actor that reaches point_reach goals."""
+    pos, vel = np.asarray(state)[..., :2], np.asarray(state)[..., 2:]
+    return np.clip(kp * (np.asarray(goal) - pos) - kd * vel, -1.0, 1.0)
 
 
 def test_callable_actor_scripted_controller_reaches_the_goals():

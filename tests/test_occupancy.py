@@ -9,23 +9,29 @@ from gchr.tabular_lab import (
     TabularPolicy,
     compute_occupancy,
     make_gridworld,
-    policy_evaluation_direct,
     policy_evaluation_iterative,
     q_from_occupancy,
-    random_mdp,
     reward_vector,
 )
-from gchr.tabular_lab.occupancy import HIT_MASS_FLOOR
-from gchr.tabular_lab.solve import EvaluationNotConverged, policy_transition_matrix, sweep_cap
+from gchr.tabular_lab.solve import (
+    HIT_MASS_FLOOR,
+    EvaluationNotConverged,
+    policy_transition_matrix,
+    sweep_cap,
+)
 
 from oracles import (
-    absorbing_tensor_occupancy_d,
+    absorbing_tensor_contractions,
     absorbing_transitions,
     geometric_tail,
     goal_major_iterative_evaluation,
+    paired_goal_grid,
     per_goal_iterative_evaluation,
+    policy_evaluation_direct,
+    random_mdp,
     v_from_occupancy,
 )
+from oracles import compute_occupancy as occupancy_tables
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -42,7 +48,7 @@ def test_chain_occupancy_geometric_sum_oracle():
     # deterministic 3-chain, gamma = 0.5, goal 2 absorbing: s2 is occupied
     # from step 2 on, so d(s2|s0, a) = (1-gamma) * sum_{k>=2} gamma^k = 0.25
     mdp = chain3()
-    table = compute_occupancy(mdp, uniform_policy(mdp), goal=2)
+    table = occupancy_tables(mdp, uniform_policy(mdp), goal=2)
     expected = (1 - 0.5) * geometric_tail(0.5, 2)
     assert expected == 0.25
     for a in range(2):
@@ -55,7 +61,7 @@ def test_absorbing_state_keeps_all_occupancy_mass():
     # a state already satisfying the goal self-loops forever, so the whole
     # (1-gamma)-normalized occupancy row concentrates on it
     mdp = chain3()
-    table = compute_occupancy(mdp, uniform_policy(mdp), goal=2)
+    table = occupancy_tables(mdp, uniform_policy(mdp), goal=2)
     assert table.d[2, 0, 2] == pytest.approx(1.0, abs=1e-12)
     assert np.all(table.d[2, 0, :2] == 0.0)
 
@@ -65,8 +71,8 @@ def test_occupancy_rows_sum_to_one_random_mdp(rng):
     policy = TabularPolicy.random(6, 4, 3, rng)
     for goal in range(4):
         table = compute_occupancy(mdp, policy, goal)
-        np.testing.assert_allclose(table.d.sum(axis=2), 1.0, atol=1e-9)
-        np.testing.assert_allclose(table.d_marginal.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(table.d_row_sums, 1.0, atol=1e-9)
+        np.testing.assert_allclose(table.d_marginal_row_sums, 1.0, atol=1e-9)
 
 
 def test_occupancy_matches_truncated_power_iteration(rng):
@@ -74,7 +80,7 @@ def test_occupancy_matches_truncated_power_iteration(rng):
     mdp = random_mdp(rng, n_states=5, n_actions=2, n_goals=3, gamma=0.9)
     policy = TabularPolicy.random(5, 3, 2, rng)
     goal = 1
-    table = compute_occupancy(mdp, policy, goal)
+    table = occupancy_tables(mdp, policy, goal)
     p_eff = absorbing_transitions(mdp, goal)
     p_pi = policy_transition_matrix(mdp, policy, goal)
     acc = np.zeros((5, 5))
@@ -84,6 +90,8 @@ def test_occupancy_matches_truncated_power_iteration(rng):
         power = 0.9 * (power @ p_pi)
     d_trunc = (1 - 0.9) * (np.eye(5)[:, None, :] + 0.9 * np.einsum("sax,xy->say", p_eff, acc))
     np.testing.assert_allclose(table.d, d_trunc, atol=1e-10)
+    np.testing.assert_allclose(compute_occupancy(mdp, policy, goal).d_row_sums,
+                               d_trunc.sum(axis=2), atol=1e-10)
 
 
 def test_chain_q_identity_brute_force_oracle():
@@ -103,13 +111,13 @@ def test_value_at_goal_state_is_full_discounted_series():
 
 
 def test_occupancy_d_matches_einsum_reference(rng):
-    # the BLAS matmul on the (S*A, S) reshape against the tensor contraction
-    # it replaced, goal-absorbing rows included
+    # the oracle's BLAS matmul on the (S*A, S) reshape against the tensor
+    # contraction, goal-absorbing rows included
     phi = np.arange(20) // 3  # goal sets of three states (two for the last goal)
     mdp = make_gridworld(5, 4, gamma=0.9, slip=0.3, phi=phi)
     policy = TabularPolicy.random(20, mdp.n_goals, 4, rng)
     for goal in range(mdp.n_goals):
-        table = compute_occupancy(mdp, policy, goal)
+        table = occupancy_tables(mdp, policy, goal)
         p_pi = policy_transition_matrix(mdp, policy, goal)
         resolvent = np.linalg.solve(np.eye(20) - 0.9 * p_pi, np.eye(20))
         p_eff = absorbing_transitions(mdp, goal)
@@ -246,14 +254,43 @@ BIT_EQUAL_CASES = {
 @pytest.mark.parametrize("name", list(BIT_EQUAL_CASES))
 def test_occupancy_equals_the_absorbing_tensor_matmul_bit_for_bit(name, rng):
     # goal rows written by index are exactly the rows a one-hot P_eff row
-    # picks out of the resolvent; the other rows run the same product
+    # picks out of R [1, 1_{S_g}]; the other rows run the same product
     mdp = BIT_EQUAL_CASES[name](rng)
     assert name != "dense_random" or np.bincount(mdp.phi).max() > 1
     for policy in (uniform_policy(mdp),
                    TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)):
         for goal in range(mdp.n_goals):
-            d_ref = absorbing_tensor_occupancy_d(mdp, policy, goal)
-            assert np.array_equal(compute_occupancy(mdp, policy, goal).d, d_ref)
+            row_sums, p_goal = absorbing_tensor_contractions(mdp, policy, goal)
+            table = compute_occupancy(mdp, policy, goal)
+            assert np.array_equal(table.d_row_sums, row_sums)
+            assert np.array_equal(table.p_goal, p_goal)
+
+
+CONTRACTION_CASES = {
+    "random_grouped": lambda: random_mdp(np.random.default_rng(11), 12, 3, 4, 0.9),
+    "lab_grid": lambda: make_gridworld(10, 10, gamma=0.9, slip=0.2),
+    "paired_goal_grid": paired_goal_grid,
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTION_CASES))
+def test_contractions_equal_the_sums_of_the_oracle_tables(name, rng):
+    # R [1, 1_{S_g}] from a two-column solve against the full resolvent and
+    # (S, A, S) occupancy summed afterwards
+    mdp = CONTRACTION_CASES[name]()
+    for policy in (uniform_policy(mdp),
+                   TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)):
+        for goal in range(mdp.n_goals):
+            table = compute_occupancy(mdp, policy, goal)
+            ref = occupancy_tables(mdp, policy, goal)
+            pairs = ((table.d_row_sums, ref.d.sum(axis=2)),
+                     (table.d_marginal_row_sums, ref.d_marginal.sum(axis=1)),
+                     (table.p_goal, ref.p_goal),
+                     (table.p_goal_marginal, ref.p_goal_marginal))
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(table.first_hit, ref.first_hit)
+            np.testing.assert_array_equal(table.hit_mass, ref.hit_mass)
 
 
 def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):

@@ -6,16 +6,17 @@ import pytest
 from gchr.envs import TabularGCMDP, load_tabular_mdp
 from gchr.tabular_lab import (
     TabularPolicy,
+    compute_occupancy,
     grid_cells,
     make_gridworld,
-    policy_evaluation_direct,
-    via_goal_factors,
+    policy_iteration_step,
     via_goal_slice,
 )
 
 from oracles import (
     mc_via_goal,
     occupancy_via_goal_tensor,
+    policy_evaluation_direct,
     via_goal_components,
     via_goal_tensor,
     via_goal_value,
@@ -24,21 +25,14 @@ from oracles import (
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
 
-def exact_values(mdp, policy):
-    """(S, G) values of every goal slice, one direct solve per goal."""
-    return np.stack([policy_evaluation_direct(mdp, policy, g)[1] for g in range(policy.n_goals)],
-                    axis=1)
-
-
-def stacked_slices(mdp, policy, values):
-    """Every subgoal's via_goal_slice stacked on a last axis, in the layout
-    (v_via, p_hit, downstream, defined) of the dense tensor oracle."""
-    factors = via_goal_factors(mdp, policy, values)
-    slices = [via_goal_slice(mdp, factors, values, sub) for sub in range(policy.n_goals)]
+def stacked_slices(mdp, sweep):
+    """Every subgoal's via_goal_slice of one policy_iteration_step sweep,
+    stacked on a last axis, in the layout (v_via, p_hit, downstream,
+    defined) of the dense tensor oracle."""
+    slices = [via_goal_slice(mdp, sweep, sub) for sub in range(mdp.n_goals)]
     downstream = np.stack([down for down, _ in slices], axis=2)
     v_via = np.stack([via for _, via in slices], axis=2)
-    p_hit, defined, _ = factors
-    return v_via, p_hit, downstream, defined
+    return v_via, (1.0 - mdp.gamma) * sweep.values, downstream, sweep.defined
 
 
 def test_single_path_case_is_gamma_times_downstream_value():
@@ -90,7 +84,7 @@ def test_gridworld_matches_monte_carlo_rollout_oracle(rng):
 def test_tensor_agrees_with_scalar_op(rng):
     mdp = make_gridworld(3, 3, gamma=0.85, slip=0.2)
     policy = TabularPolicy.random(9, 9, 4, rng)
-    v_via, p_hit, downstream, defined = stacked_slices(mdp, policy, exact_values(mdp, policy))
+    v_via, p_hit, downstream, defined = stacked_slices(mdp, policy_iteration_step(mdp, policy))
     for s in [0, 4, 8]:
         for g in [1, 6]:
             for sub in [0, 3, 8]:
@@ -106,13 +100,12 @@ def test_tensor_agrees_with_scalar_op(rng):
 
 def test_hit_probability_equals_one_minus_gamma_times_value(rng):
     # p(g'|s) = (1 - gamma) V(s, g'): the identity Theorem 2's first factor
-    # uses. The factors take it from the values, so compare with the goal
-    # density of the occupancy (the resolvent route), not with the values
-    from gchr.tabular_lab import compute_occupancy
-
+    # uses. The sweep's values are the first-passage mass over (1 - gamma),
+    # so compare with the goal density of the occupancy (the resolvent
+    # route), not with the first-hit solve again
     mdp = make_gridworld(4, 3, gamma=0.9, slip=0.1)
     policy = TabularPolicy.random(12, 12, 4, rng)
-    p_hit, _, _ = via_goal_factors(mdp, policy, exact_values(mdp, policy))
+    _, p_hit, _, _ = stacked_slices(mdp, policy_iteration_step(mdp, policy))
     for sub in range(12):
         p_goal = compute_occupancy(mdp, policy, sub).p_goal_marginal
         np.testing.assert_allclose(p_hit[:, sub], p_goal, rtol=0, atol=1e-13)
@@ -125,7 +118,7 @@ def test_tensor_matches_reference_built_from_occupancy_tables(rng):
     n_states = len(grid_cells(4, 3, walls))
     mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
     policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
-    got = stacked_slices(mdp, policy, exact_values(mdp, policy))
+    got = stacked_slices(mdp, policy_iteration_step(mdp, policy))
     want = occupancy_via_goal_tensor(mdp, policy)
     defined = want[3]
     assert defined.any() and not defined.all()
@@ -139,19 +132,17 @@ def test_slices_equal_the_dense_tensor_on_single_state_goal_sets(rng):
     # bit-identical to the dense first_hit @ values route
     mdp = make_gridworld(4, 3, gamma=0.9, slip=0.2)
     policy = TabularPolicy.random(12, 12, 4, rng)
-    values = exact_values(mdp, policy)
-    for got, want in zip(stacked_slices(mdp, policy, values), via_goal_tensor(mdp, policy, values)):
+    sweep = policy_iteration_step(mdp, policy)
+    for got, want in zip(stacked_slices(mdp, sweep), via_goal_tensor(mdp, policy, sweep.values)):
         np.testing.assert_array_equal(got, want)
 
 
 def test_hits_column_holds_its_subgoals_first_hit_distribution(rng):
-    from gchr.tabular_lab import compute_occupancy
-
     walls = [(1, 0), (1, 1), (1, 2)]
     n_states = len(grid_cells(4, 3, walls))
     mdp = make_gridworld(4, 3, gamma=0.9, walls=walls, slip=0.2, phi=np.arange(n_states) // 2)
     policy = TabularPolicy.random(n_states, mdp.n_goals, 4, rng)
-    _, _, hits = via_goal_factors(mdp, policy, exact_values(mdp, policy))
+    hits = policy_iteration_step(mdp, policy).hits
     for sub in range(mdp.n_goals):
         first_hit = compute_occupancy(mdp, policy, sub).first_hit
         states = mdp.goal_states(sub)
