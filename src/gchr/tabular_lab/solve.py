@@ -13,15 +13,11 @@ the via-goal values need. Greedy improvement breaks ties, within a tolerance
 scaled by the Q bound 1/(1-gamma), toward the lowest action id, so rounding
 cannot flip it.
 
-Iterative evaluation is the independent cross-check route: it repeats
-Bellman backups for every goal of the policy at once and retires each goal
-when its own update falls to tol. Its Q is stored goal-major and
-action-major, (G, A, S), so each sweep is one (G, S) @ (S, A*S) product on
-the raw transitions, every goal's A*S block is contiguous for the update
-norm, and V is the sum of A contiguous (G, S) planes. V is summed action by
-action, starting from action 0: numpy reduces a contiguous axis of at most
-seven entries in exactly that order, so Q and V are bit-identical to the
-goal-major (G, S, A) layout's `(pi * q).sum(axis=2)` for A <= 7.
+The cross-check route, policy_evaluation_iterative, solves nothing: it sums
+the Neumann series V = sum_j (gamma P_pi)^j r by repeated squaring, one goal
+at a time, then removes its rounding with one residual computed in extended
+precision. Its error therefore does not grow as ulp / (1 - gamma), which
+limits any fixed-point iteration of the Bellman backup in float64.
 """
 
 from __future__ import annotations
@@ -68,9 +64,11 @@ def first_hit_columns(p_pi, goal_states, gamma):
     columns = np.zeros((n, len(goal_states)))
     columns[goal_states, np.arange(len(goal_states))] = 1.0  # first arrival at time 0
     if outside.size:
-        a = np.eye(outside.size) - gamma * p_pi[np.ix_(outside, outside)]
-        b = gamma * p_pi[np.ix_(outside, goal_states)]
-        columns[outside] = np.linalg.solve(a, b)
+        rows = p_pi[outside]
+        a = rows[:, outside]  # I - gamma P_pi on the taboo states
+        a *= -gamma
+        a.flat[:: outside.size + 1] += 1.0
+        columns[outside] = np.linalg.solve(a, gamma * rows[:, goal_states])
     hit_mass = columns.sum(axis=1)
     reachable = hit_mass > HIT_MASS_FLOOR
     columns[reachable] /= hit_mass[reachable, None]
@@ -78,82 +76,66 @@ def first_hit_columns(p_pi, goal_states, gamma):
     return columns, hit_mass
 
 
-class EvaluationNotConverged(RuntimeError):
-    """Iterative evaluation ran out of sweeps; `goals` are the ones still moving."""
+def policy_evaluation_iterative(mdp, policy):
+    """Policy evaluation by Neumann doubling, independent of the linear solves.
 
-    def __init__(self, goals, max_iters):
-        super().__init__(
-            f"policy evaluation did not converge for goals {goals} in {max_iters} sweeps"
-        )
-        self.goals = goals
+    Returns q (S, A, G) and v (S, G). Per goal, with M = gamma P_pi
+    (goal-absorbing) and k = ceil(log2(60 ln 2 / -ln gamma)) (0 at gamma = 0),
+    k steps of V <- V + M V, M <- M M from V = r sum the series' first 2^k
+    terms; the tail is at most gamma^(2^k) <= 2^-60 of the Q bound
+    1 / (1 - gamma). A power M^n built by squaring carries about n * eps
+    relative error, so the sum is still off by about eps * Q / (1 - gamma),
+    as a float64 Bellman iteration would be. The residual
+    res = r + gamma P_pi V - V = (I - gamma P_pi)(V* - V) measures that
+    error; it is computed once in np.longdouble and its own series, summed
+    through the stored powers, is added to V. Q follows by one backup.
 
+    The correction needs np.longdouble to carry more digits than float64
+    (the 80-bit x87 type, eps about 1.1e-19, on x86_64 Linux): where it is
+    plain float64 the step still runs, but the residual's rounding is again
+    of order eps * Q and V keeps an error of order eps * Q / (1 - gamma).
 
-def sweep_cap(gamma, tol):
-    """Twice the sweeps after which a gamma-contraction shrinks the first
-    update (at most 1, from Q = 0) to tol: 2 * (1 + ceil(ln tol / ln gamma)),
-    with the ratio's limit of 1 at gamma = 0."""
-    contraction = math.ceil(math.log(tol) / math.log(gamma)) if gamma > 0.0 else 1
-    return 2 * (1 + max(0, contraction))
-
-
-def policy_evaluation_iterative(mdp, policy, tol=1e-12, max_iters=None):
-    """Fixed-point iteration of the Bellman expectation backup on Q, all goals at once.
-
-    Independent of the linear solves. Returns q (S, A, G) and v (S, G). Each
-    goal iterates until its own sup-norm update falls to tol (final error is
-    at most tol * gamma / (1 - gamma)), so it runs the sweeps it would run
-    alone; goals still moving after max_iters (by default sweep_cap(gamma,
-    tol)) raise EvaluationNotConverged.
+    The cost is G * k * S^3 (k = 9 at gamma = 0.9, 19 at 0.9999), against
+    G * A * S^2 per sweep of a Bellman iteration, so large grids with modest
+    gamma evaluate slower than by iteration. The name is that of the
+    Bellman iteration this route replaced: the benchmark traces the
+    function by it.
     """
-    if max_iters is None:
-        max_iters = sweep_cap(mdp.gamma, tol)
-    n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals
-    # Q is stored goal-major and action-major: one (A, S) block per active goal
-    active = np.arange(n_goals)
-    pi_all = policy.probs.transpose(1, 2, 0)
-    pi = pi_all
-    # (S, A*S): column (a, s) is the next-state distribution of (s, a)
-    next_state = mdp.transitions.transpose(1, 0, 2).reshape(n_actions * n_states, n_states).T
-    q_done = np.empty((n_goals, n_actions, n_states))
-    q = np.zeros((n_goals, n_actions, n_states))
-    work_all = np.empty_like(q)  # products, then |q_next - q|; its leading rows as goals retire
-    work = work_all
-    # (goal row, state) pairs with phi(state) == goal: the goal-absorbing rows
-    goal_rows, goal_cells = np.nonzero(mdp.phi[None, :] == active[:, None])
-    for _ in range(max_iters):
-        v = _action_sum(pi, q, work)
-        q_next = (v @ next_state).reshape(q.shape)
-        q_next *= mdp.gamma
-        # goal states self-loop and collect the reward
-        q_next[goal_rows, :, goal_cells] = (v[goal_rows, goal_cells] * mdp.gamma + 1.0)[:, None]
-        np.subtract(q_next, q, out=work)
-        np.abs(work, out=work)
-        delta = work.reshape(len(active), -1).max(axis=1)
-        q = q_next
-        done = delta <= tol
-        if done.any():
-            q_done[active[done]] = q[done]
-            moving = ~done
-            active, q, pi = active[moving], q[moving], pi[moving]
-            if not active.size:
-                break
-            work = work_all[:active.size]
-            goal_rows, goal_cells = np.nonzero(mdp.phi[None, :] == active[:, None])
-    else:
-        raise EvaluationNotConverged(active.tolist(), max_iters)
-    v = _action_sum(pi_all, q_done, work_all)
-    return q_done.transpose(2, 1, 0), v.T
+    gamma, n_states, n_goals = mdp.gamma, mdp.n_states, policy.n_goals
+    # gamma^(2^k) <= 2^-60
+    n_steps = max(0, math.ceil(math.log2(60 * math.log(2) / -math.log(gamma)))) if gamma else 0
+    next_state = mdp.transitions.reshape(-1, n_states)  # (S*A, S)
+    q = np.empty((n_states, mdp.n_actions, n_goals))
+    v = np.empty((n_states, n_goals))
+    for g in range(n_goals):
+        p_pi = policy_transition_matrix(mdp, policy, g)
+        powers = []  # (gamma P_pi)^(2^i) for i < n_steps
+        for i in range(n_steps):
+            powers.append(powers[-1] @ powers[-1] if i else gamma * p_pi)
+        r = reward_vector(mdp, g)
+        v_g = _neumann_doubling(powers, r)
+        wide = v_g.astype(np.longdouble)
+        res = r + gamma * (p_pi.astype(np.longdouble) @ wide) - wide
+        v_g += _neumann_doubling(powers, res.astype(np.float64))
+        v[:, g] = v_g
+        q[:, :, g] = q_backup(next_state, v_g, mdp.goal_states(g), gamma)
+    return q, v
 
 
-def _action_sum(pi, q, work):
-    """(G, S) sum over actions of pi * q for (G, A, S) arrays, added action by
-    action from action 0 (numpy's order for a short contiguous axis); `work`
-    receives the products."""
-    np.multiply(pi, q, out=work)
-    v = work[:, 0].copy()
-    for a in range(1, work.shape[1]):
-        v += work[:, a]
-    return v
+def _neumann_doubling(powers, x):
+    """sum_{j < 2^k} M^j x from the k powers M^(2^i): x <- x + M^(2^i) x."""
+    for m in powers:
+        x = x + m @ x
+    return x
+
+
+def q_backup(next_state, v, goal_states, gamma):
+    """(S, A) Q = r + gamma P_eff V of one goal from the raw (S*A, S) rows."""
+    q = (next_state @ v).reshape(v.shape[0], -1)
+    q[goal_states] = v[goal_states, None]  # goal states self-loop
+    q *= gamma
+    q[goal_states] += 1.0  # and collect the reward
+    return q
 
 
 def greedy_policy_slice(q, gamma):
@@ -211,9 +193,5 @@ def policy_iteration_step(mdp, policy):
         defined[:, g] = hit_mass > HIT_MASS_FLOOR
         v = hit_mass / (1.0 - gamma)
         values[:, g] = v
-        q = (next_state @ v).reshape(n_states, -1)
-        q[states] = v[states, None]  # goal states self-loop
-        q *= gamma
-        q[states] += 1.0  # and collect the reward
-        probs[:, g, :] = greedy_policy_slice(q, gamma)
+        probs[:, g, :] = greedy_policy_slice(q_backup(next_state, v, states, gamma), gamma)
     return Sweep(TabularPolicy(probs), values, hits, defined)

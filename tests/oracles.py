@@ -643,7 +643,7 @@ def geometric_tail(gamma, start):
 def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_000):
     """Bellman backups on one goal's (S, A) Q with the goal-absorbing tensor
     written out, until the sup-norm update falls to tol: the reference for
-    the batched policy_evaluation_iterative. Returns (q, v, sweeps)."""
+    policy_evaluation_iterative's Neumann doubling. Returns (q, v, sweeps)."""
     r = (mdp.phi == goal).astype(np.float64)
     p_eff = absorbing_transitions(mdp, goal)
     pi = policy.for_goal(goal)
@@ -656,46 +656,6 @@ def per_goal_iterative_evaluation(mdp, policy, goal, tol=1e-12, max_iters=200_00
         if delta <= tol:
             return q, (pi * q).sum(axis=1), sweep
     raise RuntimeError("policy evaluation did not converge")
-
-
-def goal_major_iterative_evaluation(mdp, policy, tol=1e-12, max_iters=None):
-    """Batched Bellman backups with Q stored goal-major as (G, S, A): one
-    (G, S) @ (S, S*A) product per sweep, V as `(pi * q).sum(axis=2)`, the
-    goal-absorbing rows as a (G, S) phi == g mask. The reference for the
-    action-major policy_evaluation_iterative, which must match it bit for
-    bit. Returns q (S, A, G) and v (S, G); raises EvaluationNotConverged
-    with the goals still moving after max_iters."""
-    from gchr.tabular_lab.solve import EvaluationNotConverged, sweep_cap
-
-    if max_iters is None:
-        max_iters = sweep_cap(mdp.gamma, tol)
-    n_states, n_actions, n_goals = mdp.n_states, mdp.n_actions, policy.n_goals
-    active = np.arange(n_goals)
-    absorbing = mdp.phi[None, :] == active[:, None]
-    pi_all = policy.probs.transpose(1, 0, 2)
-    pi = pi_all
-    next_state = mdp.transitions.reshape(n_states * n_actions, n_states).T
-    q_done = np.empty((n_goals, n_states, n_actions))
-    q = np.zeros((n_goals, n_states, n_actions))
-    for _ in range(max_iters):
-        v = (pi * q).sum(axis=2)
-        q_next = (v @ next_state).reshape(q.shape)
-        q_next[absorbing] = v[absorbing][:, None]
-        q_next *= mdp.gamma
-        q_next += absorbing[:, :, None]
-        delta = np.abs(q_next - q).max(axis=(1, 2))
-        q = q_next
-        done = delta <= tol
-        if done.any():
-            q_done[active[done]] = q[done]
-            moving = ~done
-            active, q, absorbing, pi = active[moving], q[moving], absorbing[moving], pi[moving]
-            if not active.size:
-                break
-    else:
-        raise EvaluationNotConverged(active.tolist(), max_iters)
-    v = (pi_all * q_done).sum(axis=2)
-    return q_done.transpose(1, 2, 0), v.T
 
 
 def occupancy_via_goal_tensor(mdp, policy):

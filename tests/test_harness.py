@@ -1,5 +1,4 @@
 import csv
-import functools
 import importlib.util
 import os
 import sys
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 import gchr.harness.sweep as sweep
-import gchr.tabular_lab.report as tabular_report
 
 from gchr.agent import GchrAgent, GchrConfig, load_actor_from_checkpoint
 from gchr.envs import make_env
@@ -29,7 +27,6 @@ from gchr.harness.loop import exploration_actions
 from gchr.harness.sweep import SWEEP_AXES, apply_axis
 from gchr.nn.actor_critic import PolicyNet
 from gchr.replay import HerBuffer
-from gchr.tabular_lab import policy_evaluation_iterative
 
 from oracles import per_episode_collection, per_rollout_eval
 
@@ -462,15 +459,18 @@ def test_cli_tabular_verify_bad_files_exit_1(tmp_path, capsys):
     assert "goal ids must lie in [0, 1)" in capsys.readouterr().err
 
 
-def test_cli_tabular_verify_reports_non_convergence_and_exits_1(monkeypatch, capsys):
-    # chain3 needs 41 sweeps at gamma = 0.5; a cap of 5 stops every goal early
-    monkeypatch.setattr(tabular_report, "policy_evaluation_iterative",
-                        functools.partial(policy_evaluation_iterative, max_iters=5))
-    assert main(["tabular-verify", "--mdp", str(CHAIN3)]) == 1
-    captured = capsys.readouterr()
-    line = next(row for row in captured.out.splitlines()
-                if "q_equals_p_over_one_minus_gamma" in row)
-    assert line.startswith("FAIL") and "margin=inf" in line
-    assert "did not converge: policy 0 goals [0, 1, 2]" in line
-    assert "9/10 checks passed" in captured.out
-    assert "Traceback" not in captured.err
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_cli_tabular_verify_passes_chain3_near_gamma_one(tmp_path, capsys):
+    """chain3 at gamma = 0.9999 passes every row at its usual tolerance.
+
+    Skipped where np.longdouble is plain float64: the evaluation route's
+    residual correction then rounds like the route itself, and its error of
+    order eps / (1 - gamma)^2 exceeds the identity row's 1e-9 there.
+    """
+    text = CHAIN3.read_text()
+    assert "\ngamma 0.5\n" in text
+    mdp_file = tmp_path / "chain3.mdp"
+    mdp_file.write_text(text.replace("\ngamma 0.5\n", "\ngamma 0.9999\n"))
+    assert main(["tabular-verify", "--mdp", str(mdp_file)]) == 0
+    assert "10/10 checks passed" in capsys.readouterr().out

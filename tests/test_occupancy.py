@@ -1,30 +1,29 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gchr.tabular_lab.report as tabular_report
+import gchr.tabular_lab.solve as solve
 from gchr.envs import TabularGCMDP, load_tabular_mdp
 from gchr.tabular_lab import (
     TabularPolicy,
     compute_occupancy,
     make_gridworld,
     policy_evaluation_iterative,
+    policy_iteration_step,
     q_from_occupancy,
     reward_vector,
+    verify_tabular,
 )
-from gchr.tabular_lab.solve import (
-    HIT_MASS_FLOOR,
-    EvaluationNotConverged,
-    policy_transition_matrix,
-    sweep_cap,
-)
+from gchr.tabular_lab.solve import HIT_MASS_FLOOR, policy_transition_matrix, q_backup
 
 from oracles import (
     absorbing_tensor_contractions,
     absorbing_transitions,
     geometric_tail,
-    goal_major_iterative_evaluation,
     paired_goal_grid,
     per_goal_iterative_evaluation,
     policy_evaluation_direct,
@@ -40,8 +39,18 @@ def chain3():
     return load_tabular_mdp(ASSETS / "chain3.mdp")
 
 
+def chain3_at(gamma):
+    mdp = chain3()
+    return TabularGCMDP(mdp.transitions, mdp.phi, gamma)
+
+
 def uniform_policy(mdp):
     return TabularPolicy.uniform(mdp.n_states, mdp.n_goals, mdp.n_actions)
+
+
+# the evaluation route's residual correction is only as exact as np.longdouble
+needs_extended_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here")
 
 
 def test_chain_occupancy_geometric_sum_oracle():
@@ -156,88 +165,89 @@ def test_direct_and_iterative_evaluation_agree(rng):
         np.testing.assert_allclose(v_dir, v_it[:, goal], atol=1e-10)
 
 
-def deterministic_mdp(rng, n_states, n_actions, n_goal_ids, gamma):
-    """One-hot transitions: every Bellman backup sums one nonzero term, so
-    the batched and per-goal routes round identically."""
-    transitions = np.zeros((n_states, n_actions, n_states))
-    nxt = rng.integers(0, n_states, size=(n_states, n_actions))
-    transitions[np.arange(n_states)[:, None], np.arange(n_actions), nxt] = 1.0
-    phi = rng.integers(0, n_goal_ids, size=n_states)
-    phi[0] = n_goal_ids - 1  # keep every id in range; lower ids may own no state
-    return TabularGCMDP(transitions, phi, gamma)
+ORACLE_TOL = 1e-12  # per_goal_iterative_evaluation's stopping tolerance
 
 
-def test_batched_iterative_evaluation_retires_each_goal_like_the_per_goal_oracle(rng):
-    # on one-hot dynamics the batched sweeps must equal the per-goal loop
-    # bit for bit, and each goal must stop after exactly the oracle's sweeps
-    split = grouped = 0
-    for _ in range(8):
-        for gamma in (0.5, 0.9, 0.98):
-            mdp = deterministic_mdp(rng, 8, 3, 4, gamma)
-            policy = TabularPolicy.random(8, 4, 3, rng)
-            q, v = policy_evaluation_iterative(mdp, policy)
-            sweeps = []
-            for goal in range(4):
-                q_ref, v_ref, n_sweeps = per_goal_iterative_evaluation(mdp, policy, goal)
-                np.testing.assert_array_equal(q[:, :, goal], q_ref)
-                np.testing.assert_array_equal(v[:, goal], v_ref)
-                sweeps.append(n_sweeps)
-            for cap in sorted(set(sweeps))[:-1]:
-                with pytest.raises(EvaluationNotConverged) as info:
-                    policy_evaluation_iterative(mdp, policy, max_iters=cap)
-                assert info.value.goals == [g for g in range(4) if sweeps[g] > cap]
-            split += len(set(sweeps)) > 1
-            grouped += int(np.bincount(mdp.phi).max() > 1)
-    assert split >= 5 and grouped >= 20  # goals stop at different sweeps; goal sets >1 state
+def oracle_error_bound(gamma, n_states):
+    """How far per_goal_iterative_evaluation can stop from the fixed point.
+
+    Its backup is a gamma-contraction, so once an update is at most
+    ORACLE_TOL the iterate lies within ORACLE_TOL * gamma / (1 - gamma) of
+    the fixed point. Each backup also rounds, by up to n_states * eps times
+    max |Q| <= 1 / (1 - gamma), and a contraction with that per-step error
+    settles within it over (1 - gamma).
+    """
+    eps = np.finfo(np.float64).eps
+    return ORACLE_TOL * gamma / (1 - gamma) + n_states * eps / (1 - gamma) ** 2
 
 
 def test_batched_iterative_evaluation_matches_per_goal_oracle_on_dense_mdps(rng):
-    # dense rows round differently under the matmul, so compare to a
-    # tolerance far below the convergence error tol * gamma / (1 - gamma)
     for _ in range(4):
-        for gamma in (0.5, 0.9, 0.98):
+        for gamma in (0.0, 0.5, 0.9, 0.98):
             mdp = random_mdp(rng, 9, 3, 4, gamma)
             policy = TabularPolicy.random(9, 4, 3, rng)
             q, v = policy_evaluation_iterative(mdp, policy)
+            bound = oracle_error_bound(gamma, 9)
             for goal in range(4):
-                q_ref, v_ref, _ = per_goal_iterative_evaluation(mdp, policy, goal)
-                np.testing.assert_allclose(q[:, :, goal], q_ref, rtol=0, atol=1e-13 / (1 - gamma))
-                np.testing.assert_allclose(v[:, goal], v_ref, rtol=0, atol=1e-13 / (1 - gamma))
+                q_ref, v_ref, _ = per_goal_iterative_evaluation(mdp, policy, goal, tol=ORACLE_TOL)
+                np.testing.assert_allclose(q[:, :, goal], q_ref, rtol=0, atol=bound)
+                np.testing.assert_allclose(v[:, goal], v_ref, rtol=0, atol=bound)
 
 
-GOAL_MAJOR_CASES = {
-    "lab_grid": lambda: make_gridworld(10, 10, gamma=0.9, slip=0.2),
-    "grid_6x6": lambda: make_gridworld(6, 6, gamma=0.95, slip=0.1),
-    # goal sets of several states
-    "random_grouped": lambda: random_mdp(np.random.default_rng(11), 12, 3, 4, 0.9),
-    "chain3": chain3,  # two actions
-}
+def doubling_without_correction(mdp, policy):
+    """policy_evaluation_iterative without its longdouble residual step: a
+    mutant whose squared powers leave an error of order eps * Q / (1 - gamma)."""
+    gamma, n_states = mdp.gamma, mdp.n_states
+    n_steps = math.ceil(math.log2(60 * math.log(2) / -math.log(gamma)))
+    q = np.empty((n_states, mdp.n_actions, policy.n_goals))
+    v = np.empty((n_states, policy.n_goals))
+    for goal in range(policy.n_goals):
+        m = gamma * policy_transition_matrix(mdp, policy, goal)
+        v_g = reward_vector(mdp, goal)
+        for _ in range(n_steps):
+            v_g = v_g + m @ v_g
+            m = m @ m
+        v[:, goal] = v_g
+        q[:, :, goal] = q_backup(mdp.transitions.reshape(-1, n_states), v_g,
+                                 mdp.goal_states(goal), gamma)
+    return q, v
 
 
-@pytest.mark.parametrize("name", list(GOAL_MAJOR_CASES))
-def test_action_major_iterative_evaluation_is_bit_identical_to_goal_major(name, rng):
-    # the (G, A, S) layout sums V action by action from action 0, the order
-    # numpy's (pi * q).sum(axis=2) takes on the (G, S, A) layout
-    mdp = GOAL_MAJOR_CASES[name]()
-    assert name != "random_grouped" or np.bincount(mdp.phi).max() > 1
-    for policy in (uniform_policy(mdp),
-                   TabularPolicy.random(mdp.n_states, mdp.n_goals, mdp.n_actions, rng)):
-        q, v = policy_evaluation_iterative(mdp, policy)
-        q_ref, v_ref = goal_major_iterative_evaluation(mdp, policy)
-        assert q.shape == q_ref.shape and v.shape == v_ref.shape
-        np.testing.assert_array_equal(q, q_ref)
-        np.testing.assert_array_equal(v, v_ref)
+@needs_extended_longdouble
+def test_evaluation_is_within_4_ulps_of_exact_on_chain3_near_gamma_one():
+    # every action moves s to s + 1 (state 2 self-loops) and goals absorb, so
+    # Q(s, a, g) = V(s, g) = gamma^(g - s) / (1 - gamma) for s <= g and 0
+    # otherwise, here in exact rationals on the float gamma
+    mdp = chain3_at(0.9999)
+    q, v = policy_evaluation_iterative(mdp, uniform_policy(mdp))
+    gamma = Fraction(mdp.gamma)
+    for s in range(3):
+        for g in range(3):
+            exact = gamma ** (g - s) / (1 - gamma) if s <= g else Fraction(0)
+            ulp = Fraction(float(np.spacing(float(exact))))
+            for got in (*q[s, :, g], v[s, g]):
+                assert abs(Fraction(float(got)) - exact) <= 4 * ulp, (s, g)
 
 
-def test_action_major_and_goal_major_evaluation_stop_the_same_goals_at_a_cap(rng):
-    mdp = random_mdp(rng, 12, 3, 4, 0.9)
-    policy = TabularPolicy.random(12, 4, 3, rng)
-    for cap in (1, 5, 40):
-        with pytest.raises(EvaluationNotConverged) as got:
-            policy_evaluation_iterative(mdp, policy, max_iters=cap)
-        with pytest.raises(EvaluationNotConverged) as want:
-            goal_major_iterative_evaluation(mdp, policy, max_iters=cap)
-        assert got.value.goals == want.value.goals and got.value.goals
+def test_identity_row_fails_on_chain3_near_gamma_one_without_the_correction(monkeypatch):
+    monkeypatch.setattr(tabular_report, "policy_evaluation_iterative",
+                        doubling_without_correction)
+    row = next(res for res in verify_tabular(chain3_at(0.9999))
+               if res.name == "q_equals_p_over_one_minus_gamma")
+    assert not row.passed and row.margin > 1e-9
+
+
+def test_evaluation_makes_no_linear_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(solve.np.linalg, "solve", no_solve)
+    mdp = make_gridworld(4, 3, gamma=0.9, slip=0.2)
+    policy = uniform_policy(mdp)
+    q, v = policy_evaluation_iterative(mdp, policy)
+    assert q.shape == (12, 4, 12) and v.shape == (12, 12)
+    with pytest.raises(AssertionError, match="np.linalg.solve called"):
+        policy_iteration_step(mdp, policy)  # the patch is live for the solve route
 
 
 BIT_EQUAL_CASES = {
@@ -306,13 +316,6 @@ def test_goal_rows_written_by_index_equal_the_absorbing_tensor_route(rng):
         q, v = policy_evaluation_direct(mdp, policy, goal)
         q_ref = reward_vector(mdp, goal)[:, None] + 0.9 * np.einsum("sax,x->sa", p_eff, v)
         np.testing.assert_array_equal(q, q_ref)
-
-
-def test_iterative_evaluation_raises_at_the_cap(rng):
-    mdp = random_mdp(rng, 5, 2, 3, 0.9)
-    with pytest.raises(RuntimeError, match="did not converge") as info:
-        policy_evaluation_iterative(mdp, TabularPolicy.uniform(5, 3, 2), max_iters=20)
-    assert info.value.goals == [0, 1, 2]
 
 
 def test_first_hit_support_and_normalization(rng):
@@ -384,22 +387,8 @@ def one_goal_state_mdp(gamma):
     return TabularGCMDP(np.ones((1, 1, 1)), np.array([0]), gamma)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
-def test_default_sweep_cap_is_twice_the_contraction_bound(gamma):
-    # one absorbing goal state: its update after sweep k is exactly gamma^(k-1),
-    # so it retires after 1 + ceil(ln tol / ln gamma) sweeps
-    needed = 2 if gamma == 0.0 else 1 + math.ceil(math.log(1e-12) / math.log(gamma))
-    assert sweep_cap(gamma, 1e-12) == 2 * needed
-    policy = TabularPolicy.uniform(1, 1, 1)
-    policy_evaluation_iterative(one_goal_state_mdp(gamma), policy, max_iters=needed)
-    with pytest.raises(EvaluationNotConverged):
-        policy_evaluation_iterative(one_goal_state_mdp(gamma), policy, max_iters=needed - 1)
-
-
 def test_one_goal_mdp_converges_at_gamma_near_one():
-    # about 276,000 sweeps at gamma = 0.9999, past the fixed cap of 200,000
-    # the evaluation once had; the default cap is derived from gamma and tol
+    # a Bellman iteration needs about 276,000 sweeps here; doubling needs 19
     gamma = 0.9999
-    assert sweep_cap(gamma, 1e-12) > 2 * 276_000
     _, v = policy_evaluation_iterative(one_goal_state_mdp(gamma), TabularPolicy.uniform(1, 1, 1))
     assert v[0, 0] == pytest.approx(1.0 / (1.0 - gamma), rel=1e-11)
