@@ -116,7 +116,7 @@ class CriticNet(_MlpNet):
     def q(self, states, actions, goals):
         return self.q_cached(states, actions, goals)[0]
 
-    def backward(self, cache, d_q, wrt="both"):
+    def backward(self, cache, d_q, wrt):
         """Backward from dL/dQ; returns (dL/d(theta), dL/d(action)). `wrt`
         picks what to compute, as in Mlp.backward; the other one is None."""
         d_out = np.asarray(d_q, dtype=np.float64)[..., np.newaxis]

@@ -159,7 +159,7 @@ class Mlp:
         out = acts[-1][0] if single else acts[-1]
         return out, (acts, single, self._passes)
 
-    def backward(self, cache, grad_output, wrt="both"):
+    def backward(self, cache, grad_output, wrt):
         """Backpropagate an upstream gradient through the cached forward pass.
 
         Args:

@@ -6,14 +6,16 @@ at or after that timestep (the future strategy) or with its final achieved
 goal. Rewards are always recomputed from the achieved goal of the
 transition's destination state against the sample's effective goal.
 
-Transitions live only in flat arrays, so minibatch sampling is fully
-vectorized; the arrays grow geometrically up to a cap of about 1.25x the
-transition capacity, and eviction is FIFO over whole trajectories once the
-transition capacity is exceeded. Each trajectory's deduplicated
-hindsight goal set is computed once, at store time, as first-visit row
-offsets into those arrays. A sampled batch copies no goal set: it carries a
-`GoalLookup` into the buffer's arrays, and the hindsight prior gathers only
-the goals it draws. No padded goal table is built per batch.
+Every episode of a buffer has the same horizon T, so episodes live
+episode-major in one FIFO ring of (episodes, T+1, dim) arrays, and
+minibatch sampling is fully vectorized: a draw's slot and step are a
+division by T. The ring holds as many whole episodes as fit in the
+transition capacity (at least one); once full, each store overwrites the
+oldest. Each episode's deduplicated hindsight goal set is computed once,
+at store time, as first-visit row offsets into its slot. A sampled batch
+copies no goal set: it carries a `GoalLookup` into the buffer's arrays,
+and the hindsight prior gathers only the goals it draws. No padded goal
+table is built per batch.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class GoalLookup:
     `pool`, for j below the element's goal count; the offsets past a set's
     size are padding that still points into the pool. A sampled batch's
     lookup reads the buffer's own arrays, not a copy: it stays valid until
-    the buffer's next store_trajectory, which may compact the flat arrays
-    in place and so move the rows it points at.
+    the buffer's next store_trajectory, which may overwrite the oldest slot
+    in place or reallocate the arrays.
     """
 
     def __init__(self, pool, offsets, slots, bases):
@@ -155,15 +157,14 @@ def first_visit_rows(goals, dedup_tol=0.0):
 
 
 class HerBuffer:
-    """FIFO trajectory store with vectorized hindsight relabeling.
+    """FIFO ring of fixed-horizon episodes with vectorized hindsight relabeling.
 
-    Per-trajectory bookkeeping lives in columns indexed by slot, in store
-    order: the flat-array base row, the horizon, the running transition
-    count at its end (evictions included), the desired goal, and the
-    first-visit rows of its goal set as offsets from the base, padded with
-    offset 0. A store writes one slot at the tail and an eviction advances
-    the head, so neither rebuilds the columns; they are repacked only when
-    the tail reaches their end, at twice the live size.
+    Every stored trajectory has the horizon T of the first one. Slot s holds
+    one episode: its T+1 states and achieved goals, its T actions, its
+    desired goal, and the first-visit rows of its goal set, padded with
+    offset 0 to the largest set stored so far. The ring holds
+    max(1, capacity // T) episodes; its arrays double up to that many
+    slots, after which each store overwrites the oldest episode.
     """
 
     def __init__(self, state_dim, action_dim, goal_dim, success_tolerance,
@@ -177,73 +178,30 @@ class HerBuffer:
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
         self.goal_dedup_tol = self.success_tolerance / 10.0  # for hindsight goal sets
-        self._n_transitions = 0
-        self._n_stored = 0  # transitions ever stored, evicted ones included
-        self._fill = 0  # rows used in the flat arrays (T+1 per trajectory)
-        self._states = np.empty((0, self.state_dim))
-        self._actions = np.empty((0, self.action_dim))
-        self._achieved = np.empty((0, self.goal_dim))
-        self._head = 0  # slot of the oldest live trajectory
-        self._tail = 0  # one past the newest live slot
-        self._bases = np.empty(0, dtype=np.int64)
-        self._lengths = np.empty(0, dtype=np.int64)
-        self._ends = np.empty(0, dtype=np.int64)
-        self._goal_counts = np.empty(0, dtype=np.int64)
+        # T, the ring's slot count and the episode arrays come with the first store
+        self._horizon = 0
+        self._n_episodes = 0  # live episodes
+        self._oldest = 0  # slot of the oldest live episode
         self._desired = np.empty((0, self.goal_dim))
+        self._goal_counts = np.empty(0, dtype=np.int64)
         self._goal_rows = np.empty((0, 0), dtype=np.int64)
 
     # -- storage ------------------------------------------------------------
 
     @property
     def n_transitions(self):
-        return self._n_transitions
+        return self._n_episodes * self._horizon
 
-    def _ensure_alloc(self, extra_rows):
-        """Make room for `extra_rows` more flat rows: double the arrays up to
-        the cap; only where the rows would pass the cap, first compact the
-        live rows to the front."""
-        need = self._fill + extra_rows
-        alloc = len(self._states)
-        if need <= alloc:
-            return
-        # capacity counts transitions; the flat arrays hold T+1 rows per
-        # trajectory, so the cap leaves ~25% headroom before compacting
-        cap = int(self.capacity * 1.25) + 2 * extra_rows + 4
-        if need > cap:
-            self._compact()
-            need = self._fill + extra_rows
-            if need <= alloc:
-                return
-        size = max(need, min(cap, 2 * alloc))
-        for name in ("_states", "_actions", "_achieved"):
+    def _grow(self, size):
+        """Reallocate every slot array at `size` slots, keeping the stored
+        episodes: the ring does not wrap while it grows, so they fill the
+        first slots."""
+        for name in ("_states", "_achieved", "_actions", "_desired", "_goal_counts",
+                     "_goal_rows"):
             old = getattr(self, name)
-            grown = np.empty((size, old.shape[1]))
-            grown[: self._fill] = old[: self._fill]
+            grown = np.empty((size, *old.shape[1:]), dtype=old.dtype)
+            grown[: len(old)] = old
             setattr(self, name, grown)
-
-    def _compact(self):
-        shift = self._bases[self._head] if self._tail > self._head else self._fill
-        keep = self._fill - shift
-        for arr in (self._states, self._actions, self._achieved):
-            arr[:keep] = arr[shift : self._fill]
-        self._bases[self._head : self._tail] -= shift
-        self._fill = keep
-
-    def _repack_slots(self, width):
-        """Move the live slots to the front of fresh columns with room to
-        grow and at least `width` goal-row columns."""
-        live = slice(self._head, self._tail)
-        n_live = self._tail - self._head
-        size = max(16, 2 * n_live)
-        for name in ("_bases", "_lengths", "_ends", "_goal_counts", "_desired"):
-            old = getattr(self, name)
-            column = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
-            column[:n_live] = old[live]
-            setattr(self, name, column)
-        rows = np.zeros((size, max(width, self._goal_rows.shape[1])), dtype=np.int64)
-        rows[:n_live, : self._goal_rows.shape[1]] = self._goal_rows[live]
-        self._goal_rows = rows
-        self._head, self._tail = 0, n_live
 
     def store_trajectory(self, trajectory):
         if not isinstance(trajectory, Trajectory):
@@ -257,68 +215,71 @@ class HerBuffer:
         horizon = trajectory.horizon
         if horizon < 1:
             raise ValueError("trajectory must contain at least one transition")
-        # FIFO eviction before inserting so capacity bounds the stored count
-        while self._tail > self._head and self._n_transitions + horizon > self.capacity:
-            self._n_transitions -= int(self._lengths[self._head])
-            self._head += 1
-        rows = horizon + 1
-        self._ensure_alloc(rows)
-        base = self._fill
-        self._states[base : base + rows] = trajectory.states
-        self._achieved[base : base + rows] = trajectory.achieved_goals
-        self._actions[base : base + horizon] = trajectory.actions
-        self._fill += rows
+        if not self._horizon:
+            self._horizon = horizon
+            self._n_slots = max(1, self.capacity // horizon)
+            self._states = np.empty((0, horizon + 1, self.state_dim))
+            self._achieved = np.empty((0, horizon + 1, self.goal_dim))
+            self._actions = np.empty((0, horizon, self.action_dim))
+        elif horizon != self._horizon:
+            raise ValueError(f"trajectory horizon {horizon} differs from the buffer's "
+                             f"{self._horizon}")
         goal_rows = first_visit_rows(trajectory.achieved_goals, self.goal_dedup_tol)
-        if self._tail == len(self._lengths) or len(goal_rows) > self._goal_rows.shape[1]:
-            self._repack_slots(len(goal_rows))
-        slot = self._tail
-        self._n_stored += horizon
-        self._bases[slot] = base
-        self._lengths[slot] = horizon
-        self._ends[slot] = self._n_stored
-        self._goal_counts[slot] = len(goal_rows)
+        if self._n_episodes < self._n_slots:
+            slot = self._n_episodes
+            if slot == len(self._desired):
+                self._grow(min(self._n_slots, max(1, 2 * slot)))
+            self._n_episodes += 1
+        else:  # full: the new episode replaces the oldest
+            slot = self._oldest
+            self._oldest = (slot + 1) % self._n_slots
+        width = self._goal_rows.shape[1]
+        if len(goal_rows) > width:
+            self._goal_rows = np.pad(self._goal_rows, ((0, 0), (0, len(goal_rows) - width)))
+        self._states[slot] = trajectory.states
+        self._achieved[slot] = trajectory.achieved_goals
+        self._actions[slot] = trajectory.actions
         self._desired[slot] = trajectory.desired_goal
+        self._goal_counts[slot] = len(goal_rows)
+        self._goal_rows[slot] = 0
         self._goal_rows[slot, : len(goal_rows)] = goal_rows
-        self._tail += 1
-        self._n_transitions += horizon
 
     # -- sampling -----------------------------------------------------------
 
     def sample_batch(self, batch_size, her, rng):
         """Uniform over stored transitions, each independently relabeled
         with probability her.relabel_ratio."""
-        if self._n_transitions == 0:
+        if self._n_episodes == 0:
             raise ValueError("cannot sample from an empty buffer")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        flat_idx = rng.integers(0, self._n_transitions, size=batch_size)
-        # the running end counts include evicted transitions: skip past them
-        stored_idx = flat_idx + (self._n_stored - self._n_transitions)
-        slots = self._head + np.searchsorted(self._ends[self._head : self._tail], stored_idx,
-                                             side="right")
-        lengths = self._lengths[slots]
-        t = stored_idx - (self._ends[slots] - lengths)
-        bases = self._bases[slots]
+        horizon = self._horizon
+        # draw i is step i % T of the (i // T)-th live episode, oldest first
+        episode, t = np.divmod(rng.integers(0, self.n_transitions, size=batch_size), horizon)
+        slots = (self._oldest + episode) % self._n_slots
 
         relabel = rng.random(batch_size) < her.relabel_ratio
         if her.strategy == "future":
-            relabel_t = rng.integers(t, lengths + 1)  # uniform over [t, T]
+            relabel_t = rng.integers(t, horizon + 1)  # uniform over [t, T]
         else:
-            relabel_t = lengths.copy()
+            relabel_t = np.full(batch_size, horizon)
         relabel_t = np.where(relabel, relabel_t, -1)
 
-        # ndarray.take copies whole rows, several times faster than the
-        # equivalent fancy index at these sizes
+        # flat (slot, row) views; ndarray.take copies whole rows, several
+        # times faster than the equivalent fancy index at these sizes
+        all_states = self._states.reshape(-1, self.state_dim)
+        all_achieved = self._achieved.reshape(-1, self.goal_dim)
+        bases = slots * (horizon + 1)
         rows = bases + t
-        states = self._states.take(rows, axis=0)
-        actions = self._actions.take(rows, axis=0)
-        next_states = self._states.take(rows + 1, axis=0)
-        achieved_next = self._achieved.take(rows + 1, axis=0)
+        states = all_states.take(rows, axis=0)
+        actions = self._actions.reshape(-1, self.action_dim).take(slots * horizon + t, axis=0)
+        next_states = all_states.take(rows + 1, axis=0)
+        achieved_next = all_achieved.take(rows + 1, axis=0)
         original_goals = self._desired.take(slots, axis=0)
         goals = original_goals.copy()
         if np.any(relabel):
             ridx = np.flatnonzero(relabel)
-            goals[ridx] = self._achieved.take(bases[ridx] + relabel_t[ridx], axis=0)
+            goals[ridx] = all_achieved.take(bases[ridx] + relabel_t[ridx], axis=0)
         rewards = sparse_reward(achieved_next, goals, self.success_tolerance,
                                 self.reward_convention)
         return ReplayBatch(
@@ -332,7 +293,7 @@ class HerBuffer:
             t=t,
             relabel_t=relabel_t,
             goal_counts=self._goal_counts[slots],
-            goal_lookup=GoalLookup(self._achieved, self._goal_rows, slots, bases),
+            goal_lookup=GoalLookup(all_achieved, self._goal_rows, slots, bases),
             reward_convention=self.reward_convention,
         )
 

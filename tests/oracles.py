@@ -61,6 +61,49 @@ def source_trajectories(trajectories, batch):
                      for t, s, a in zip(batch.t, batch.states, batch.actions)], dtype=np.int64)
 
 
+def reference_sample_batch(trajectories, batch_size, her, rng, success_tolerance,
+                           reward_convention="zero_one", dedup_tol=0.0):
+    """The batch HerBuffer.sample_batch should draw from `trajectories`, the
+    live episodes oldest first, built element by element from that list.
+
+    The draws come in the buffer's order: a transition uniform over all live
+    steps, in episode then step order; then one relabel coin per element;
+    then, under the future strategy, a relabel step uniform over [t, T].
+    Rewards are the sparse reward of each pair's own norm, and goal sets the
+    scalar first-visit dedup of each episode's achieved goals.
+    """
+    steps = [(k, t) for k, traj in enumerate(trajectories) for t in range(traj.horizon)]
+    draws = rng.integers(0, len(steps), size=batch_size)
+    relabel = rng.random(batch_size) < her.relabel_ratio
+    source = [trajectories[steps[d][0]] for d in draws]
+    t = np.array([steps[d][1] for d in draws], dtype=np.int64)
+    horizons = np.array([traj.horizon for traj in source], dtype=np.int64)
+    if her.strategy == "future":
+        relabel_t = rng.integers(t, horizons + 1)
+    else:
+        relabel_t = horizons
+    relabel_t = np.where(relabel, relabel_t, -1)
+    goals = [traj.achieved_goals[rt] if rt >= 0 else traj.desired_goal
+             for traj, rt in zip(source, relabel_t)]
+    hits = [float(np.linalg.norm(traj.achieved_goals[step + 1] - goal) <= success_tolerance)
+            for traj, step, goal in zip(source, t, goals)]
+    goal_sets = [traj.achieved_goals[scalar_first_visit_rows(traj.achieved_goals, dedup_tol)]
+                 for traj in source]
+    return {
+        "states": np.array([traj.states[step] for traj, step in zip(source, t)]),
+        "actions": np.array([traj.actions[step] for traj, step in zip(source, t)]),
+        "next_states": np.array([traj.states[step + 1] for traj, step in zip(source, t)]),
+        "original_goals": np.array([traj.desired_goal for traj in source]),
+        "goals": np.array(goals),
+        "rewards": np.array(hits) - (0.0 if reward_convention == "zero_one" else 1.0),
+        "is_relabeled": relabel,
+        "t": t,
+        "relabel_t": relabel_t,
+        "goal_counts": np.array([len(goal_set) for goal_set in goal_sets], dtype=np.int64),
+        "goal_sets": goal_sets,
+    }
+
+
 def mixture_log_prob(prior_net, state, goals, action):
     """Exact log-density of `action` under the equal-weight mixture of
     prior_net's conditionals at `state`, one component per goal: the
@@ -205,7 +248,15 @@ def per_episode_reset(env, rng):
 
 def n_trajectories(buffer):
     """Live trajectories in a HerBuffer: its occupied slots."""
-    return buffer._tail - buffer._head
+    return buffer._n_episodes
+
+
+def store_counting_wraps(buffer, trajectory):
+    """Store `trajectory` in a HerBuffer; 1 if that store moved the oldest
+    slot back to the start of the ring, else 0."""
+    oldest = buffer._oldest
+    buffer.store_trajectory(trajectory)
+    return int(buffer._oldest < oldest)
 
 
 def _scalar_in_box(x, y, box):

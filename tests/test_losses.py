@@ -31,6 +31,7 @@ from oracles import (
     scalar_first_visit_rows,
     separate_pass_actor_loss,
     source_trajectories,
+    store_counting_wraps,
 )
 
 STATE_DIM, GOAL_DIM, ACTION_DIM = 3, 2, 2
@@ -513,26 +514,21 @@ def test_k_fraction_subsampling(rng):
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2])
-def test_index_gathered_prior_goals_equal_the_padded_table_route(fraction, monkeypatch):
-    # a small buffer that evicts and compacts, with goal sets from one goal
-    # to the whole trajectory; the reference goal sets come from the stored
+def test_index_gathered_prior_goals_equal_the_padded_table_route(fraction):
+    # a small buffer whose ring wraps, with goal sets from one goal to the
+    # whole trajectory; the reference goal sets come from the stored
     # trajectories, not from the buffer
-    compactions = []
-    compact = HerBuffer._compact
-    monkeypatch.setattr(HerBuffer, "_compact",
-                        lambda self: compactions.append(1) or compact(self))
     rng = np.random.default_rng(8)
     cfg = small_cfg(hindsight_goal_fraction=fraction, prior_mc_samples=3)
     nets = make_nets(cfg)
     buf = HerBuffer(STATE_DIM, ACTION_DIM, GOAL_DIM, success_tolerance=0.5, capacity=60)
-    stored, subsets = [], 0
+    horizon, stored, subsets, wraps = 9, [], 0, 0  # 6 slots of 9 steps
     for i in range(160):
-        horizon = int(rng.integers(3, 16))
         walk = [0.0, 0.01, 0.05, 1.0][i % 4]
         states = np.cumsum(rng.normal(scale=walk, size=(horizon + 1, STATE_DIM)), axis=0)
         stored.append(Trajectory(states, rng.uniform(-1, 1, (horizon, ACTION_DIM)),
                                  states[:, :GOAL_DIM].copy(), rng.uniform(-1, 1, GOAL_DIM)))
-        buf.store_trajectory(stored[-1])
+        wraps += store_counting_wraps(buf, stored[-1])
         if i % 20 != 19:
             continue
         batch = buf.sample_batch(64, HerConfig(), rng)
@@ -551,7 +547,7 @@ def test_index_gathered_prior_goals_equal_the_padded_table_route(fraction, monke
         expected = padded_table_prior_actions(batch.states, reference, ks, priors.prior_net, 3,
                                               np.random.default_rng(i))
         assert actions.tobytes() == expected.tobytes()
-    assert compactions and buf.n_transitions <= 60
+    assert wraps and buf.n_transitions <= 60
     assert (subsets > 0) == (fraction < 1.0)
 
 
@@ -578,7 +574,7 @@ def test_actor_loss_critic_pass_computes_no_parameter_gradient(rng, monkeypatch)
     passes, splits = [], []
     backward, split = Mlp.backward, Mlp._split
 
-    def spy_backward(self, cache, grad_output, wrt="both"):
+    def spy_backward(self, cache, grad_output, wrt):
         before = len(splits)
         result = backward(self, cache, grad_output, wrt)
         # _split lays out a parameter gradient; nothing else calls it in a pass

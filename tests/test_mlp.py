@@ -70,7 +70,7 @@ def test_backward_linear_net_weight_grad_is_input():
     net = Mlp([2, 1], [np.array([[0.3], [0.7]])], [np.array([0.1])])
     x = np.array([3.0, -4.0])
     _, cache = net.forward_cached(x)
-    grad, grad_in = net.backward(cache, np.array([1.0]))
+    grad, grad_in = net.backward(cache, np.array([1.0]), wrt="both")
     grads = net.params(grad)
     np.testing.assert_allclose(grads["w0"][:, 0], x)
     assert grads["b0"][0] == pytest.approx(1.0)
@@ -80,7 +80,7 @@ def test_backward_linear_net_weight_grad_is_input():
 def test_backward_constant_loss_gives_zero_grads():
     net = Mlp.initialize([3, 4, 2], rng=0)
     _, cache = net.forward_cached(np.ones(3))
-    grad, grad_in = net.backward(cache, np.zeros(2))
+    grad, grad_in = net.backward(cache, np.zeros(2), wrt="both")
     assert np.all(grad == 0.0)
     assert np.all(grad_in == 0.0)
 
@@ -99,7 +99,7 @@ def test_backward_matches_central_differences(activation):
         return float(probe.forward(x) @ direction)
 
     _, cache = net.forward_cached(x)
-    analytic, _ = net.backward(cache, direction)
+    analytic, _ = net.backward(cache, direction, wrt="both")
     fd = finite_difference_grads(loss, {k: v.copy() for k, v in net.params().items()})
     assert max_relative_grad_error(net.params(analytic), fd) <= 1e-4
 
@@ -110,7 +110,7 @@ def test_backward_input_gradient_matches_central_differences():
     x = rng.normal(size=4)
     direction = rng.normal(size=2)
     _, cache = net.forward_cached(x)
-    _, grad_in = net.backward(cache, direction)
+    _, grad_in = net.backward(cache, direction, wrt="both")
     h = 1e-5
     fd = np.zeros(4)
     for i in range(4):
@@ -125,7 +125,7 @@ def test_backward_shape_mismatch_raises():
     net = Mlp.initialize([3, 2], rng=0)
     _, cache = net.forward_cached(np.ones(3))
     with pytest.raises(ValueError, match="gradient"):
-        net.backward(cache, np.ones(5))
+        net.backward(cache, np.ones(5), wrt="both")
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -137,7 +137,7 @@ def test_work_array_passes_match_fresh_array_reference(activation):
         x = rng.normal(size=(rows, 5))
         direction = rng.normal(size=(rows, 3))
         out, cache = net.forward_cached(x)
-        grad, grad_in = net.backward(cache, direction)
+        grad, grad_in = net.backward(cache, direction, wrt="both")
         grads = net.params(grad)
         ref_out, ref_grads, ref_in = fresh_array_pass(net, x, direction)
         for got, want in [(out, ref_out), (grad_in, ref_in)] + [
@@ -151,20 +151,20 @@ def test_backward_rejects_a_cache_whose_work_arrays_were_reused():
     _, first = net.forward_cached(np.ones((4, 3)))
     net.forward(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="stale cache"):
-        net.backward(first, np.ones((4, 2)))
+        net.backward(first, np.ones((4, 2)), wrt="both")
     _, second = net.forward_cached(np.ones((4, 3)))
-    net.backward(second, np.ones((4, 2)))
+    net.backward(second, np.ones((4, 2)), wrt="both")
 
 
 def test_repeated_pass_allocates_no_hidden_width_array():
     net = Mlp.initialize([6, 64, 64, 4], rng=1)
     x = np.random.default_rng(2).normal(size=(1024, 6))
     direction = np.ones((1024, 4))
-    net.backward(net.forward_cached(x)[1], direction)  # grows the work arrays
+    net.backward(net.forward_cached(x)[1], direction, wrt="both")  # grows the work arrays
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        net.backward(net.forward_cached(x)[1], direction)
+        net.backward(net.forward_cached(x)[1], direction, wrt="both")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -195,10 +195,10 @@ def test_backward_returns_a_fresh_gradient_each_pass():
     net = Mlp.initialize([3, 6, 2], rng=1)
     rng = np.random.default_rng(3)
     first, _ = net.backward(net.forward_cached(rng.normal(size=(5, 3)))[1],
-                            rng.normal(size=(5, 2)))
+                            rng.normal(size=(5, 2)), wrt="both")
     kept = first.copy()
     second, _ = net.backward(net.forward_cached(rng.normal(size=(5, 3)))[1],
-                             rng.normal(size=(5, 2)))
+                             rng.normal(size=(5, 2)), wrt="both")
     np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, net.theta)
@@ -211,7 +211,7 @@ def test_each_backward_mode_equals_that_output_of_the_full_backward(activation, 
     rng = np.random.default_rng(7)
     shape = (9,) if batched else ()
     x, direction = rng.normal(size=(*shape, 5)), rng.normal(size=(*shape, 3))
-    full_grad, full_in = net.backward(net.forward_cached(x)[1], direction)
+    full_grad, full_in = net.backward(net.forward_cached(x)[1], direction, wrt="both")
     grad, grad_in = net.backward(net.forward_cached(x)[1], direction, wrt="params")
     assert grad_in is None
     assert np.array_equal(grad.view(np.int64), full_grad.view(np.int64))

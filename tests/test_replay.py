@@ -9,7 +9,13 @@ from gchr.replay import (
     first_visit_rows,
 )
 
-from oracles import n_trajectories, scalar_first_visit_rows, source_trajectories
+from oracles import (
+    n_trajectories,
+    reference_sample_batch,
+    scalar_first_visit_rows,
+    source_trajectories,
+    store_counting_wraps,
+)
 
 
 def make_trajectory(rng, horizon=10, state_dim=4, action_dim=2, goal_dim=2, walk_scale=0.1):
@@ -20,9 +26,9 @@ def make_trajectory(rng, horizon=10, state_dim=4, action_dim=2, goal_dim=2, walk
     return Trajectory(states, actions, achieved, desired)
 
 
-def make_buffer(capacity=1_000_000, tol=0.05):
-    return HerBuffer(state_dim=4, action_dim=2, goal_dim=2,
-                     success_tolerance=tol, capacity=capacity)
+def make_buffer(capacity=1_000_000, tol=0.05, reward_convention="zero_one"):
+    return HerBuffer(state_dim=4, action_dim=2, goal_dim=2, success_tolerance=tol,
+                     reward_convention=reward_convention, capacity=capacity)
 
 
 def test_trajectory_shape_validation():
@@ -38,6 +44,39 @@ def test_store_count_bookkeeping(rng):
         buf.store_trajectory(make_trajectory(rng, horizon=10))
     assert buf.n_transitions == 70
     assert n_trajectories(buf) == 7
+
+
+def test_capacity_below_the_horizon_keeps_exactly_one_episode(rng):
+    buf = make_buffer(capacity=4)
+    trajs = [make_trajectory(rng, horizon=10) for _ in range(3)]
+    for traj in trajs:
+        buf.store_trajectory(traj)
+        assert n_trajectories(buf) == 1 and buf.n_transitions == 10
+    assert len(buf._desired) == 1
+    batch = buf.sample_batch(64, HerConfig(relabel_ratio=0.0), rng)
+    np.testing.assert_array_equal(source_trajectories(trajs, batch), 2)
+
+
+def test_another_horizon_is_rejected_and_changes_nothing(rng):
+    # a full, wrapped ring, so a partial store would move the oldest slot
+    buf, twin = make_buffer(capacity=30), make_buffer(capacity=30)
+    for _ in range(5):
+        traj = make_trajectory(rng, horizon=10)
+        buf.store_trajectory(traj)
+        twin.store_trajectory(traj)
+    # all-distinct goals, so a partial store would also widen the goal rows
+    for horizon in (8, 12):
+        with pytest.raises(ValueError, match="horizon"):
+            buf.store_trajectory(make_trajectory(rng, horizon=horizon, walk_scale=1.0))
+    assert buf.n_transitions == twin.n_transitions == 30
+    her = HerConfig(relabel_ratio=0.5)
+    ours = buf.sample_batch(128, her, np.random.default_rng(1))
+    theirs = twin.sample_batch(128, her, np.random.default_rng(1))
+    for name in ("states", "actions", "next_states", "goals", "rewards", "relabel_t",
+                 "goal_counts"):
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    for got, want in zip(ours.goal_sets, theirs.goal_sets, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_capacity_one_trajectory_evicts_previous(rng):
@@ -74,10 +113,10 @@ def test_future_relabels_draw_from_future_achieved_goals(rng):
 
 def test_final_strategy_uses_terminal_goal(rng):
     buf = make_buffer()
-    trajs = [make_trajectory(rng, horizon=h) for h in (9, 5)]
+    trajs = [make_trajectory(rng, horizon=9) for _ in range(3)]
     for traj in trajs:
         buf.store_trajectory(traj)
-    batch = buf.sample_batch(32, HerConfig(strategy="final", relabel_ratio=1.0), rng)
+    batch = buf.sample_batch(64, HerConfig(strategy="final", relabel_ratio=1.0), rng)
     for i, k in enumerate(source_trajectories(trajs, batch)):
         assert batch.relabel_t[i] == trajs[k].horizon
         np.testing.assert_array_equal(batch.goals[i], trajs[k].achieved_goals[-1])
@@ -114,15 +153,16 @@ def test_relabeled_fraction_concentrates(rng):
 
 
 def test_sampling_uniform_over_transitions(rng):
-    buf = make_buffer()
-    t1 = make_trajectory(rng, horizon=5)
-    t2 = make_trajectory(rng, horizon=15)
-    buf.store_trajectory(t1)
-    buf.store_trajectory(t2)
+    # six stores into a ring of four: the live episodes start mid-ring
+    buf = make_buffer(capacity=20)
+    trajs = [make_trajectory(rng, horizon=5) for _ in range(6)]
+    for traj in trajs:
+        buf.store_trajectory(traj)
+    assert buf._oldest == 2
     n = 40_000
     batch = buf.sample_batch(n, HerConfig(relabel_ratio=0.0), rng)
-    # transition id: t1's 5 steps are 0-4, t2's 15 steps are 5-19
-    ids = np.where(source_trajectories([t1, t2], batch) == 0, 0, 5) + batch.t
+    # transition id: live episode k's 5 steps are 5k to 5k + 4
+    ids = 5 * source_trajectories(trajs[2:], batch) + batch.t
     counts = np.bincount(ids, minlength=20)
     assert len(counts) == 20
     # chi-square against uniform over all 20 transitions: a sampler that
@@ -252,20 +292,16 @@ def test_first_visit_rows_zero_tolerance_keeps_first_of_exact_repeats(seed):
     np.testing.assert_array_equal(rows, np.sort(first))
 
 
-def test_goal_sets_survive_eviction_and_compaction(rng, monkeypatch):
-    compactions = []
-    compact = HerBuffer._compact
-    monkeypatch.setattr(HerBuffer, "_compact",
-                        lambda self: compactions.append(1) or compact(self))
-    buf = make_buffer(capacity=60, tol=0.5)  # dedup tolerance 0.05
+def test_goal_sets_survive_eviction_and_ring_wrap(rng):
+    buf = make_buffer(capacity=60, tol=0.5)  # dedup tolerance 0.05, 5 slots
     her = HerConfig(relabel_ratio=0.5)
-    stored = []
+    stored, wraps = [], 0
     for i in range(300):
-        # horizons and walk scales vary so goal sets range from one goal to
-        # the whole trajectory and the padded table has to widen
+        # walk scales vary so goal sets range from one goal to the whole
+        # trajectory and the padded goal rows have to widen
         walk = [0.0, 0.01, 0.05, 1.0][i % 4]
-        stored.append(make_trajectory(rng, horizon=int(rng.integers(3, 16)), walk_scale=walk))
-        buf.store_trajectory(stored[-1])
+        stored.append(make_trajectory(rng, horizon=12, walk_scale=walk))
+        wraps += store_counting_wraps(buf, stored[-1])
         if i % 25 == 24:
             live = stored[-n_trajectories(buf):]
             batch = buf.sample_batch(64, her, rng)
@@ -275,37 +311,83 @@ def test_goal_sets_survive_eviction_and_compaction(rng, monkeypatch):
                 expected = achieved[scalar_first_visit_rows(achieved, buf.goal_dedup_tol)]
                 np.testing.assert_array_equal(goal_set, expected)
                 assert batch.goal_counts[j] == len(expected)
-    assert buf.n_transitions <= 60 and compactions
+    assert buf.n_transitions <= 60 and wraps
 
 
-def test_flat_arrays_grow_with_use_and_compact_only_at_the_cap(rng, monkeypatch):
-    compactions = []
-    compact = HerBuffer._compact
-    monkeypatch.setattr(HerBuffer, "_compact",
-                        lambda self: compactions.append(1) or compact(self))
+def test_ring_grows_with_use_and_wraps_only_at_capacity(rng):
     buf = make_buffer()  # the default capacity of a million transitions
-    rows = 0
-    for _ in range(200):
-        traj = make_trajectory(rng, horizon=int(rng.integers(5, 60)))
-        buf.store_trajectory(traj)
-        rows += traj.horizon + 1
-        assert rows <= len(buf._states) <= 2 * rows
-        assert len(buf._actions) == len(buf._achieved) == len(buf._states)
-    assert not compactions
+    for n in range(1, 201):
+        wraps = store_counting_wraps(buf, make_trajectory(rng, horizon=30))
+        assert not wraps and buf._oldest == 0
+        assert n <= len(buf._desired) <= 2 * n
+        assert (len(buf._states) == len(buf._achieved) == len(buf._actions)
+                == len(buf._goal_counts) == len(buf._goal_rows) == len(buf._desired))
 
-    buf = make_buffer(capacity=300)
+    buf = make_buffer(capacity=300)  # 12 slots
     her = HerConfig(relabel_ratio=0.5)
-    stored = []
+    stored, wraps = [], 0
     for i in range(120):
-        stored.append(make_trajectory(rng, horizon=int(rng.integers(5, 40))))
-        buf.store_trajectory(stored[-1])
-        assert len(buf._states) <= int(300 * 1.25) + 2 * 41 + 4
+        stored.append(make_trajectory(rng, horizon=25))
+        wraps += store_counting_wraps(buf, stored[-1])
+        assert len(buf._desired) <= 12
         if i % 20 == 19:
             live = stored[-n_trajectories(buf):]
             batch = buf.sample_batch(64, her, rng)
             for k, goal in zip(source_trajectories(live, batch), batch.original_goals):
                 np.testing.assert_array_equal(goal, live[k].desired_goal)
-    assert compactions
+    assert wraps == 120 // 12 - 1
+
+
+@pytest.mark.parametrize("capacity, horizon", [(1, 3), (100, 7), (96, 12), (1000, 9)])
+def test_allocated_slots_stay_within_the_ring_and_twice_the_live_episodes(
+        rng, capacity, horizon):
+    ring = max(1, capacity // horizon)
+    buf = make_buffer(capacity=capacity)
+    for _ in range(3 * ring):
+        buf.store_trajectory(make_trajectory(rng, horizon=horizon))
+        assert len(buf._desired) <= ring
+        assert n_trajectories(buf) <= len(buf._desired) <= 2 * n_trajectories(buf)
+    assert len(buf._desired) == n_trajectories(buf) == ring
+
+
+def test_goal_row_width_is_the_largest_goal_set_stored(rng):
+    buf = make_buffer(capacity=40, tol=0.5)  # dedup tolerance 0.05, 4 slots
+    largest = 0
+    # the widest set is stored early and evicted long before the end
+    for walk in [0.0, 0.01, 1.0, 0.05] + [0.0, 0.01, 0.02] * 6:
+        traj = make_trajectory(rng, horizon=10, walk_scale=walk)
+        buf.store_trajectory(traj)
+        largest = max(largest, len(scalar_first_visit_rows(traj.achieved_goals, 0.05)))
+        assert buf._goal_rows.shape[1] == largest
+    assert largest == 11 and buf._goal_counts.max() < largest
+
+
+@pytest.mark.parametrize("reward_convention", ["zero_one", "neg_one_zero"])
+@pytest.mark.parametrize("strategy", ["future", "final"])
+def test_batches_equal_the_reference_sampler_after_the_ring_wraps(
+        rng, strategy, reward_convention):
+    # 8 slots: 30 stores take the oldest slot past the ring's end twice,
+    # with checks at every phase of the ring
+    buf = make_buffer(capacity=100, tol=0.5, reward_convention=reward_convention)
+    her = HerConfig(strategy=strategy, relabel_ratio=0.6)
+    stored, wraps = [], 0
+    for i in range(30):
+        stored.append(make_trajectory(rng, horizon=12, walk_scale=[0.0, 0.05, 1.0][i % 3]))
+        wraps += store_counting_wraps(buf, stored[-1])
+        if i % 3:
+            continue
+        live = stored[-n_trajectories(buf):]
+        batch = buf.sample_batch(256, her, np.random.default_rng(i))
+        want = reference_sample_batch(live, 256, her, np.random.default_rng(i), 0.5,
+                                      reward_convention, buf.goal_dedup_tol)
+        for name, expected in want.items():
+            if name == "goal_sets":
+                for got, ref in zip(batch.goal_sets, expected, strict=True):
+                    assert got.tobytes() == ref.tobytes()
+                continue
+            got = getattr(batch, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert wraps == 2
 
 
 def test_dump_csv_one_row_per_transition(tmp_path, rng):
